@@ -58,18 +58,9 @@ class ReducedAxisLinkWitness:
         return {"kind": "reduced_axis_link", "depth": self.depth, "value": self.value}
 
 
-@dataclass(frozen=True)
-class NullityWitness:
-    p_link: int
-
-    def to_json(self) -> dict:
-        return {"kind": "nullity", "p_link": self.p_link}
-
-
-Witness = Union[AxisLinkWitness, ReducedAxisLinkWitness, NullityWitness]
+Witness = Union[AxisLinkWitness, ReducedAxisLinkWitness]
 
 NOT_EQUIVARIANTLY_SLICE = "NotEquivariantlySlice"
-INCONCLUSIVE = "Inconclusive"
 
 
 @dataclass(frozen=True)
@@ -80,7 +71,7 @@ class SliceObstructionCertificate:
 
     def __post_init__(self):
         if self.verdict == NOT_EQUIVARIANTLY_SLICE:
-            if self.witness is None or _witness_value(self.witness) == 0:
+            if self.witness is None or self.witness.value == 0:
                 raise InvariantViolation("non-sliceness verdict without a witness")
 
     def to_json(self) -> dict:
@@ -89,14 +80,6 @@ class SliceObstructionCertificate:
             "witness": self.witness.to_json() if self.witness else None,
             "trace": list(self.trace),
         }
-
-
-def _witness_value(w: Witness) -> int:
-    if isinstance(w, AxisLinkWitness):
-        return w.value
-    if isinstance(w, ReducedAxisLinkWitness):
-        return w.value
-    return w.p_link
 
 
 def equivariant_slice_obstruction(pres: I1Presentation) -> SliceObstructionCertificate:
@@ -120,7 +103,7 @@ def equivariant_slice_obstruction(pres: I1Presentation) -> SliceObstructionCerti
             else:
                 witness = AxisLinkWitness(lk_ak, "aK")
             if depth > 0:
-                witness = ReducedAxisLinkWitness(depth, _witness_value(witness))
+                witness = ReducedAxisLinkWitness(depth, witness.value)
             return SliceObstructionCertificate(
                 NOT_EQUIVARIANTLY_SLICE, witness, tuple(trace)
             )
@@ -189,12 +172,3 @@ def nullity_obstruction(pres: I1Presentation) -> NullityReport:
         )
     return NullityReport(bf, abs(bf.p), 1)
 
-
-def certificate_from_nullity(pres: I1Presentation) -> SliceObstructionCertificate:
-    """Non-sliceness certificate by the nullity route (|p''| != 0)."""
-    report = nullity_obstruction(pres)
-    return SliceObstructionCertificate(
-        NOT_EQUIVARIANTLY_SLICE,
-        NullityWitness(abs(report.fraction.p)),
-        (str(pres),),
-    )

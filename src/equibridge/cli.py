@@ -15,11 +15,11 @@ from .laurent import DomainError, InvariantViolation, lp_to_str, zp_to_str, lp_i
 from .rationals import frac_parse, cf_parse, schubert_classes
 from .presentations import (
     I1Presentation,
-    ParseError,
     inversions_from_fraction,
     knot_fraction,
     butterfly_fraction,
     parse_i1,
+    presentation_from_cf,
 )
 from .butterfly import (
     axis_linking,
@@ -28,48 +28,32 @@ from .butterfly import (
     nullity_obstruction,
     reduce_if_b_zero,
 )
-from .diagrams import build_knot_diagram, build_lhat_diagram, linking_number
-from .seifert import conway_polynomial, determinant
+from .diagrams import build_knot_diagram, build_lhat_diagram
+from .seifert import determinant, seifert_matrix_data
 from .moth import order_certificate
-from .strip import build_strip, label_strip, eta_from_strip, parse_strip, print_strip, strip_census
+from .strip import build_strip, label_strip, eta_from_strip, eta_oracle, parse_strip, print_strip, strip_census
 
 SCHEMA_VERSION = 1
 
 
-def _presentation_from_cf(entries: Sequence[int]) -> I1Presentation:
-    if len(entries) % 2 != 0:
-        raise ParseError("knot continued fraction must have even length")
-    alphas = tuple(entries[0::2])
-    if any(e % 2 != 0 for e in entries[1::2]):
-        raise ParseError("even-position entries must be even (twice a twist count)")
-    cs = tuple(-e // 2 for e in entries[1::2])
-    return I1Presentation(alphas, cs)
-
-
 def analyze_presentation(pres: I1Presentation) -> dict:
-    """All invariants of one presentation; cross-checks re-asserted."""
+    """All invariants of one presentation; cross-checks re-asserted.
+
+    The diagram checks (knot and butterfly determinants against the
+    fractions, zero butterfly linking number, moth symmetry) run inside
+    `order_certificate` and the diagram builders.
+    """
     bp = butterfly_polynomial(pres)
     if not lp_is_eta_admissible(bp):
         raise InvariantViolation(f"butterfly polynomial of {pres} is not admissible")
-    oracle = eta_from_strip(label_strip(build_strip(pres)))
-    if oracle != bp:
+    if eta_oracle(pres) != bp:
         raise InvariantViolation(f"strip oracle disagrees with the formula for {pres}")
     lk_k, lk_ak = axis_linking(pres)
     cert = equivariant_slice_obstruction(pres)
     nullity = nullity_obstruction(pres)
     kf = knot_fraction(pres)
     bf = butterfly_fraction(pres)
-    knot_pd = build_knot_diagram(pres)
-    lhat_pd = build_lhat_diagram(pres)
-    conway_knot = conway_polynomial(knot_pd)
-    det_knot = determinant(knot_pd)
-    if det_knot != abs(kf.p):
-        raise InvariantViolation(f"knot determinant mismatch for {pres}")
     order = order_certificate(pres)
-    if order.determinant_lhat != abs(bf.p):
-        raise InvariantViolation(f"butterfly determinant mismatch for {pres}")
-    if linking_number(lhat_pd) != 0:
-        raise InvariantViolation(f"butterfly link of {pres} has non-zero linking number")
     return {
         "i1": str(pres),
         "knot_fraction": str(kf),
@@ -78,8 +62,8 @@ def analyze_presentation(pres: I1Presentation) -> dict:
         "axis_linking": {"K": lk_k, "aK": lk_ak},
         "slice_obstruction": cert.to_json(),
         "nullity": nullity.to_json(),
-        "conway_knot": zp_to_str(conway_knot),
-        "determinant_knot": det_knot,
+        "conway_knot": zp_to_str(order.conway_knot),
+        "determinant_knot": order.determinant_knot,
         "order": order.to_json(),
         "moth": {
             "num": lp_to_str(order.moth.num),
@@ -98,6 +82,13 @@ def knot_report(
     if len(given) != 1:
         raise DomainError("exactly one of --fraction, --cf, --i1 is required")
     t0 = time.monotonic()
+    records: dict[I1Presentation, dict] = {}
+
+    def analyzed(pres: I1Presentation) -> dict:
+        if pres not in records:
+            records[pres] = analyze_presentation(pres)
+        return records[pres]
+
     report: dict = {"schema_version": SCHEMA_VERSION}
     if fraction is not None:
         f = frac_parse(fraction)
@@ -105,21 +96,21 @@ def knot_report(
         pair = inversions_from_fraction(f.p, f.q)
     else:
         pres = (
-            _presentation_from_cf(cf_parse(cf)) if cf is not None else parse_i1(i1)
+            presentation_from_cf(cf_parse(cf)) if cf is not None else parse_i1(i1)
         )
         report["input"] = {
             "kind": "cf" if cf is not None else "i1",
             "text": cf if cf is not None else i1,
         }
-        report["given"] = analyze_presentation(pres)
+        report["given"] = analyzed(pres)
         kf = knot_fraction(pres)
         p, q = kf.positive_numerator()
         pair = inversions_from_fraction(p, q)
     report["fraction"] = str(pair.source)
     report["even_cf"] = list(pair.expansion.entries)
-    report["inversions"] = [analyze_presentation(pair.inv1)]
+    report["inversions"] = [analyzed(pair.inv1)]
     if pair.inv2 is not None:
-        report["inversions"].append(analyze_presentation(pair.inv2))
+        report["inversions"].append(analyzed(pair.inv2))
     if timing:
         report["elapsed_seconds"] = round(time.monotonic() - t0, 6)
     return report
@@ -261,7 +252,8 @@ def cmd_verify(args) -> int:
         print("error: --samples must be at least 1", file=sys.stderr)
         return 2
     rng = random.Random(args.seed)
-    failures: list[tuple[str, I1Presentation]] = []
+    # (suite name, presentation, cause: "" for a plain mismatch)
+    failures: list[tuple[str, I1Presentation, str]] = []
 
     def suite(name, count, gen, check):
         ok = 0
@@ -271,14 +263,13 @@ def cmd_verify(args) -> int:
                 if check(pres):
                     ok += 1
                 else:
-                    failures.append((name, pres))
-            except Exception:
-                failures.append((name, pres))
+                    failures.append((name, pres, ""))
+            except Exception as exc:  # any crash is a failure; keep its cause
+                failures.append((name, pres, f"{type(exc).__name__}: {exc}"))
         print(f"{name}: {ok}/{count}")
 
     def oracle_check(pres):
-        return eta_from_strip(label_strip(build_strip(pres))) == \
-            butterfly_polynomial(pres)
+        return eta_oracle(pres) == butterfly_polynomial(pres)
 
     def admissible_check(pres):
         return lp_is_eta_admissible(butterfly_polynomial(pres))
@@ -295,9 +286,9 @@ def cmd_verify(args) -> int:
                 and butterfly_fraction(pres) == butterfly_fraction(red))
 
     def determinant_check(pres):
-        return (determinant(build_knot_diagram(pres))
+        return (determinant(seifert_matrix_data(build_knot_diagram(pres)))
                 == abs(knot_fraction(pres).p)
-                and determinant(build_lhat_diagram(pres))
+                and determinant(seifert_matrix_data(build_lhat_diagram(pres)))
                 == abs(butterfly_fraction(pres).p))
 
     def moth_check(pres):
@@ -317,9 +308,10 @@ def cmd_verify(args) -> int:
     suite("moth properties", small,
           lambda: random_presentation(rng, max_n=3, max_alpha=6, max_c=3),
           moth_check)
+    for name, pres, cause in failures:
+        raised = f" raised {cause};" if cause else ""
+        print(f"FAIL [{name}]:{raised} reproduce with: {analyze_ready(pres)}")
     if failures:
-        name, pres = failures[0]
-        print(f"FAIL [{name}]: reproduce with: {analyze_ready(pres)}")
         return 1
     print("all suites passed")
     return 0

@@ -111,10 +111,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by t**k."""
-        return LaurentPoly({e + k: c for e, c in self._c.items()})
-
     def subs_inv(self) -> "LaurentPoly":
         """Substitute t -> 1/t, i.e. reverse all exponents."""
         return LaurentPoly({-e: c for e, c in self._c.items()})
@@ -378,22 +374,6 @@ def _lp_to_dense(f: LaurentPoly) -> tuple[int, list[int]]:
 
 def _dense_to_lp(val: int, dense: Iterable[int]) -> LaurentPoly:
     return LaurentPoly({val + i: c for i, c in enumerate(dense)})
-
-
-def lp_divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact division in Z[t, 1/t]; raises if the remainder is non-zero."""
-    if den.is_zero():
-        raise DomainError("division by zero")
-    if num.is_zero():
-        return LaurentPoly.zero()
-    nv, nd = _lp_to_dense(num)
-    dv, dd = _lp_to_dense(den)
-    quot, rem = _poly_divmod_q([Q(c) for c in nd], [Q(c) for c in dd])
-    if any(rem):
-        raise DomainError("inexact division")
-    if any(q.denominator != 1 for q in quot):
-        raise DomainError("inexact division (non-integer quotient)")
-    return _dense_to_lp(nv - dv, [int(q) for q in quot])
 
 
 class RationalFn:

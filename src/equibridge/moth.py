@@ -12,21 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from .laurent import InvariantViolation, RationalFn, ZPoly, rf_make, z_to_t
 from .diagrams import build_knot_diagram, build_lhat_diagram
-from .presentations import I1Presentation, butterfly_fraction
-from .seifert import conway_polynomial, determinant
+from .presentations import I1Presentation, butterfly_fraction, knot_fraction
+from .seifert import conway_polynomial, determinant, seifert_matrix_data
 
 INFINITE_ORDER = "InfiniteOrder"
 INCONCLUSIVE = "Inconclusive"
 
 
-def moth_polynomial(pres: I1Presentation) -> RationalFn:
-    """nabla(L-hat)(z) / (z * nabla(K)(z)) as a rational function of t."""
-    n = conway_polynomial(build_lhat_diagram(pres))
-    d = conway_polynomial(build_knot_diagram(pres))
-    return _moth_from_conways(n, d)
-
-
 def _moth_from_conways(n: ZPoly, d: ZPoly) -> RationalFn:
+    """nabla(L-hat)(z) / (z * nabla(K)(z)) as a rational function of t."""
     if not n.odd_only():
         raise InvariantViolation("butterfly-link Conway polynomial is not odd")
     if not d.even_only():
@@ -53,6 +47,8 @@ class OrderCertificate:
     conway_lhat: ZPoly
     determinant_lhat: int
     moth: RationalFn
+    conway_knot: ZPoly  # carried for the report, not serialized here
+    determinant_knot: int
 
     def __post_init__(self):
         if self.verdict == INFINITE_ORDER and self.conway_lhat.is_zero():
@@ -71,10 +67,12 @@ class OrderCertificate:
 
 
 def certificate_from_invariants(
-    conway_lhat: ZPoly, det_lhat: int, moth: RationalFn
+    conway_lhat: ZPoly, det_lhat: int, moth: RationalFn,
+    conway_knot: ZPoly, det_knot: int,
 ) -> OrderCertificate:
     verdict = INFINITE_ORDER if not conway_lhat.is_zero() else INCONCLUSIVE
-    return OrderCertificate(verdict, conway_lhat, det_lhat, moth)
+    return OrderCertificate(verdict, conway_lhat, det_lhat, moth,
+                            conway_knot, det_knot)
 
 
 def order_certificate(pres: I1Presentation) -> OrderCertificate:
@@ -82,9 +80,11 @@ def order_certificate(pres: I1Presentation) -> OrderCertificate:
 
     The determinant |Delta(-1)| of the butterfly link equals the butterfly
     fraction's numerator size and already forces the Conway polynomial to be
-    non-zero; the full polynomial is carried as supporting data.
+    non-zero; the full polynomial is carried as supporting data.  Each
+    diagram and its Seifert matrix is built once; the knot's Conway
+    polynomial and determinant ride along on the certificate.
     """
-    lhat = build_lhat_diagram(pres)
+    lhat = seifert_matrix_data(build_lhat_diagram(pres))
     n = conway_polynomial(lhat)
     det = determinant(lhat)
     expected = abs(butterfly_fraction(pres).p)
@@ -94,8 +94,13 @@ def order_certificate(pres: I1Presentation) -> OrderCertificate:
         )
     if det != _eval_det_from_conway(n):
         raise InvariantViolation("determinant and Conway polynomial disagree")
-    d = conway_polynomial(build_knot_diagram(pres))
-    return certificate_from_invariants(n, det, _moth_from_conways(n, d))
+    knot = seifert_matrix_data(build_knot_diagram(pres))
+    d = conway_polynomial(knot)
+    det_knot = determinant(knot)
+    if det_knot != abs(knot_fraction(pres).p):
+        raise InvariantViolation(f"knot determinant mismatch for {pres}")
+    return certificate_from_invariants(n, det, _moth_from_conways(n, d),
+                                       d, det_knot)
 
 
 def _eval_det_from_conway(n: ZPoly) -> int:

@@ -127,7 +127,12 @@ class InversionPair:
     expansion: EvenCF
 
 
-def _presentation_from_even_entries(entries: Sequence[int]) -> I1Presentation:
+def presentation_from_cf(entries: Sequence[int]) -> I1Presentation:
+    """The presentation whose knot continued fraction is `entries`."""
+    if len(entries) % 2 != 0:
+        raise ParseError("knot continued fraction must have even length")
+    if any(e % 2 != 0 for e in entries[1::2]):
+        raise ParseError("even-position entries must be even (twice a twist count)")
     alphas = tuple(entries[0::2])
     cs = tuple(-e // 2 for e in entries[1::2])
     return I1Presentation(alphas, cs)
@@ -142,9 +147,9 @@ def inversions_from_fraction(p: int, q: int) -> InversionPair:
     """
     src = Frac.make(p, q)
     ecf = even_cf(src)
-    inv1 = _presentation_from_even_entries(ecf.entries)
+    inv1 = presentation_from_cf(ecf.entries)
     rev = [-e for e in reversed(ecf.entries)]
-    inv2: Optional[I1Presentation] = _presentation_from_even_entries(rev)
+    inv2: Optional[I1Presentation] = presentation_from_cf(rev)
     if inv2.alphas == inv1.alphas and inv2.cs == inv1.cs:
         inv2 = None
     for inv in (inv1,) + ((inv2,) if inv2 else ()):

@@ -82,10 +82,6 @@ def eval_cf(entries: Sequence[int]) -> Frac:
     return v
 
 
-def cf_to_str(entries: Sequence[int]) -> str:
-    return "[" + ",".join(str(a) for a in entries) + "]"
-
-
 def cf_parse(text: str) -> list[int]:
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):

@@ -19,7 +19,6 @@ are settled exactly on the diagrams' integer polylines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from typing import Optional
 
 from .laurent import DomainError, InvariantViolation, LaurentPoly, ZPoly
@@ -403,9 +402,8 @@ def _bareiss_det(m: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def determinant(pd: OrientedPD) -> int:
+def determinant(data: SeifertData) -> int:
     """|H1| of the double branched cover: |det(V + V^T)|."""
-    data = seifert_matrix_data(pd)
     v = data.matrix
     g = data.rank
     sym = [[v[i][j] + v[j][i] for j in range(g)] for i in range(g)]
@@ -413,39 +411,33 @@ def determinant(pd: OrientedPD) -> int:
 
 
 def _interp_poly(points: list[tuple[int, int]]) -> list[int]:
-    """Exact Lagrange interpolation; asserts integer coefficients."""
-    n = len(points)
-    coeffs = [Q(0)] * n
-    for xi, yi in points:
-        numer = [Q(1)]
-        denom = Q(1)
-        for xj, _ in points:
-            if xj == xi:
-                continue
-            numer = _polymul_q(numer, [Q(-xj), Q(1)])
-            denom *= Q(xi - xj)
-        scale = Q(yi) / denom
-        for k, c in enumerate(numer):
-            coeffs[k] += scale * c
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise InvariantViolation("non-integer interpolated coefficient")
-        out.append(int(c))
+    """Newton interpolation in integers; asserts integer coefficients.
+
+    Divided differences of an integer polynomial at integer nodes are
+    integers, so every division must be exact.
+    """
+    xs = [x for x, _ in points]
+    dd = [y for _, y in points]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            q, r = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - k])
+            if r:
+                raise InvariantViolation("non-integer interpolated coefficient")
+            dd[i] = q
+    # Horner on the Newton form: p = dd[0] + (x - x0)(dd[1] + (x - x1)(...)).
+    out: list[int] = []
+    for k in range(len(xs) - 1, -1, -1):
+        shifted = [0] + out
+        for j, c in enumerate(out):
+            shifted[j] -= xs[k] * c
+        shifted[0] += dd[k]
+        out = shifted
     while out and out[-1] == 0:
         out.pop()
     return out
 
 
-def _polymul_q(a: list[Q], b: list[Q]) -> list[Q]:
-    out = [Q(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
-
-
-def conway_polynomial(pd: OrientedPD) -> ZPoly:
+def conway_polynomial(data: SeifertData) -> ZPoly:
     """The normalized skein polynomial det(1/x V - x V^T) with z = x - 1/x.
 
     The global sign of the odd (2-component) case follows the skein
@@ -453,7 +445,6 @@ def conway_polynomial(pd: OrientedPD) -> ZPoly:
     of the determinant is the one that agrees with it for this push-off
     convention.
     """
-    data = seifert_matrix_data(pd)
     v = data.matrix
     g = data.rank
     if g == 0:
@@ -491,14 +482,3 @@ def conway_polynomial(pd: OrientedPD) -> ZPoly:
             raise InvariantViolation("2-link Conway polynomial has even terms")
     return nabla
 
-
-def seifert_matrix(pd: OrientedPD) -> SeifertData:
-    """Public name used by the reports; validates the symplectic invariant."""
-    data = seifert_matrix_data(pd)
-    if data.mu == 1 and data.rank > 0:
-        g = data.rank
-        v = data.matrix
-        skew = [[v[i][j] - v[j][i] for j in range(g)] for i in range(g)]
-        if abs(_bareiss_det(skew)) != 1:
-            raise InvariantViolation("det(V - V^T) is not a unit for a knot")
-    return data

@@ -7,6 +7,7 @@ the stated wall-clock budgets.
 import random
 import time
 
+from equibridge.cli import random_presentation
 from equibridge.butterfly import (
     axis_linking,
     butterfly_polynomial,
@@ -24,7 +25,7 @@ from equibridge.presentations import (
     parse_i1,
 )
 from equibridge.rationals import eval_cf, schubert_classes
-from equibridge.seifert import conway_polynomial, determinant
+from equibridge.seifert import conway_polynomial, determinant, seifert_matrix_data
 from equibridge.strip import eta_oracle
 
 from skein_oracle import skein_conway
@@ -34,15 +35,6 @@ MAX_P = 45
 
 def _passline(n, text):
     print(f"criterion {n}: PASS  ({text})")
-
-
-def _random_presentation(rng, n_max=4, a_max=8, c_max=4):
-    n = rng.randint(1, n_max)
-    alphas = tuple(rng.choice([a for a in range(-a_max, a_max + 1)
-                               if a and a % 2 == 0]) for _ in range(n))
-    cs = tuple(rng.choice([c for c in range(-c_max, c_max + 1) if c])
-               for _ in range(n))
-    return I1Presentation(alphas, cs)
 
 
 def _enumerated_presentations(max_p=MAX_P):
@@ -88,7 +80,7 @@ def test_criterion_3_oracle_equivalence():
     t0 = time.monotonic()
     rng = random.Random(987654321)
     for _ in range(500):
-        pres = _random_presentation(rng)
+        pres = random_presentation(rng)
         assert eta_oracle(pres) == butterfly_polynomial(pres), pres
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
@@ -102,7 +94,7 @@ def test_criterion_4_eta_admissibility():
         assert lp_is_eta_admissible(butterfly_polynomial(pres))
         checked += 1
     for _ in range(500):
-        assert lp_is_eta_admissible(butterfly_polynomial(_random_presentation(rng)))
+        assert lp_is_eta_admissible(butterfly_polynomial(random_presentation(rng)))
         checked += 1
     for pres in _vanishing_family_instances():
         assert lp_is_eta_admissible(butterfly_polynomial(pres))
@@ -147,9 +139,10 @@ def test_criterion_7_determinant_cross_check():
     t0 = time.monotonic()
     count = 0
     for pres in _enumerated_presentations():
-        assert determinant(build_knot_diagram(pres)) == abs(knot_fraction(pres).p)
-        assert determinant(build_lhat_diagram(pres)) == \
-            abs(butterfly_fraction(pres).p)
+        knot = seifert_matrix_data(build_knot_diagram(pres))
+        lhat = seifert_matrix_data(build_lhat_diagram(pres))
+        assert determinant(knot) == abs(knot_fraction(pres).p)
+        assert determinant(lhat) == abs(butterfly_fraction(pres).p)
         count += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
@@ -180,10 +173,10 @@ def test_criterion_9_conway_ground_truth():
     ]
     for entries, expected in cases:
         pd = build_plat_diagram(entries)
-        assert conway_polynomial(pd) == expected
+        assert conway_polynomial(seifert_matrix_data(pd)) == expected
         assert skein_conway(pd) == expected
     hopf = build_plat_diagram([2])
-    nab = conway_polynomial(hopf)
+    nab = conway_polynomial(seifert_matrix_data(hopf))
     assert nab in (zp_parse("z"), zp_parse("-z"))
     assert nab == skein_conway(hopf)
     _passline(9, "unknot, trefoil, figure-eight, Hopf match the skein oracle")
@@ -193,7 +186,7 @@ def test_criterion_10_b_zero_reduction():
     rng = random.Random(24680)
     count = 0
     while count < 50:
-        base = _random_presentation(rng, n_max=3)
+        base = random_presentation(rng, max_n=3)
         if base.b == 0:
             continue
         cs_last = rng.choice([c for c in range(-4, 5) if c])

@@ -9,23 +9,14 @@ from equibridge.butterfly import (
     SliceObstructionCertificate,
     axis_linking,
     butterfly_polynomial,
-    certificate_from_nullity,
     equivariant_slice_obstruction,
     nullity_obstruction,
     reduce_if_b_zero,
 )
+from equibridge.cli import random_presentation
 from equibridge.laurent import InvariantViolation, lp_is_eta_admissible, lp_parse
 from equibridge.presentations import I1Presentation, inversions_from_fraction, parse_i1
 from equibridge.rationals import Frac, schubert_classes
-
-
-def rand_pres(rng, n_max=4, a_max=8, c_max=4):
-    n = rng.randint(1, n_max)
-    alphas = tuple(rng.choice([a for a in range(-a_max, a_max + 1)
-                               if a and a % 2 == 0]) for _ in range(n))
-    cs = tuple(rng.choice([c for c in range(-c_max, c_max + 1) if c])
-               for _ in range(n))
-    return I1Presentation(alphas, cs)
 
 
 def test_generator_family():
@@ -50,7 +41,7 @@ def test_butterfly_polynomial_example():
 def test_butterfly_polynomial_always_admissible():
     rng = random.Random(3)
     for _ in range(200):
-        assert lp_is_eta_admissible(butterfly_polynomial(rand_pres(rng)))
+        assert lp_is_eta_admissible(butterfly_polynomial(random_presentation(rng)))
 
 
 def test_axis_linking_examples():
@@ -64,7 +55,7 @@ def test_axis_linking_examples():
 def test_axis_linking_difference_is_b():
     rng = random.Random(4)
     for _ in range(300):
-        pres = rand_pres(rng)
+        pres = random_presentation(rng)
         lk_k, lk_ak = axis_linking(pres)
         assert lk_ak - lk_k == pres.b
 
@@ -78,7 +69,7 @@ def test_reduce_if_b_zero():
 def test_reduction_preserves_butterfly_invariants():
     rng = random.Random(5)
     for _ in range(80):
-        base = rand_pres(rng, n_max=3)
+        base = random_presentation(rng, max_n=3)
         if base.b == 0:
             continue
         pres = I1Presentation(base.alphas + (-base.b,), base.cs + (1,))
@@ -135,13 +126,8 @@ def test_nullity_examples():
 def test_nullity_reversal_check_runs_everywhere():
     rng = random.Random(6)
     for _ in range(200):
-        pres = rand_pres(rng)
+        pres = random_presentation(rng)
         rep = nullity_obstruction(pres)
         assert rep.nullity == 1
         assert rep.h1_order % 2 == 0 and rep.h1_order > 0
 
-
-def test_nullity_certificate():
-    cert = certificate_from_nullity(parse_i1("2;1"))
-    assert cert.verdict == NOT_EQUIVARIANTLY_SLICE
-    assert cert.witness.p_link == 8

@@ -1,7 +1,9 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
+from equibridge import cli, diagrams, seifert
 from equibridge.cli import knot_report
 
 
@@ -48,6 +50,60 @@ def test_analyze_validation_exit_code():
     assert code == 2 and "error" in err
     code, _, _ = run_cli("analyze", "--fraction", "3/2", "--i1", "2;1")
     assert code == 2
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the arguments of every call of `module.name`, in each
+    equibridge namespace that bound the function."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, ns in list(sys.modules.items()):
+        if mod_name.startswith("equibridge") and getattr(ns, name, None) is original:
+            monkeypatch.setattr(ns, name, counted)
+    return calls
+
+
+def test_each_diagram_and_seifert_matrix_built_once(monkeypatch):
+    analyzed = count_calls(monkeypatch, cli, "analyze_presentation")
+    surfaces = count_calls(monkeypatch, seifert, "seifert_matrix_data")
+    plats = count_calls(monkeypatch, diagrams, "build_plat_diagram")
+    report = knot_report(fraction="17/12")
+    assert len(report["inversions"]) == len(analyzed) == 2
+    assert len(surfaces) == 2 * len(analyzed)
+    assert len(plats) == 2 * len(analyzed)
+
+
+def test_i1_input_equal_to_an_inversion_analyzed_once(monkeypatch):
+    analyzed = count_calls(monkeypatch, cli, "analyze_presentation")
+    report = knot_report(i1="2,4;1,1")
+    assert report["given"]["i1"] == report["inversions"][0]["i1"]
+    assert report["given"] == report["inversions"][0]
+    counts = Counter(str(pres) for (pres,) in analyzed)
+    assert counts["I1(2,4;1,1)"] == 1
+    assert set(counts.values()) == {1}
+
+
+def test_verify_lists_every_failure_with_its_exception(monkeypatch, capsys):
+    def broken(pres):
+        raise AttributeError("boom")
+
+    monkeypatch.setattr(cli, "order_certificate", broken)
+    monkeypatch.setattr(cli, "reduce_if_b_zero", lambda pres: None)
+    assert cli.main(["verify", "--samples", "20", "--seed", "3"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("FAIL")]
+    moth = [line for line in fails if line.startswith("FAIL [moth properties]")]
+    reduction = [line for line in fails if line.startswith("FAIL [b=0 reduction]")]
+    assert len(moth) == len(reduction) == 2 and len(fails) == 4
+    assert all("raised AttributeError: boom; reproduce with: analyze --i1=" in line
+               for line in moth)
+    assert all(line.startswith("FAIL [b=0 reduction]: reproduce with: analyze --i1=")
+               for line in reduction)
 
 
 def test_table_smallest():

@@ -9,18 +9,10 @@ from equibridge.diagrams import (
     linking_number,
     pd_code_text,
 )
+from equibridge.cli import random_presentation
 from equibridge.laurent import DomainError
-from equibridge.presentations import I1Presentation, parse_i1
+from equibridge.presentations import parse_i1
 from equibridge.rationals import eval_cf
-
-
-def rand_pres(rng, n_max=3, a_max=6, c_max=3):
-    n = rng.randint(1, n_max)
-    alphas = tuple(rng.choice([a for a in range(-a_max, a_max + 1)
-                               if a and a % 2 == 0]) for _ in range(n))
-    cs = tuple(rng.choice([c for c in range(-c_max, c_max + 1) if c])
-               for _ in range(n))
-    return I1Presentation(alphas, cs)
 
 
 def test_plat_examples():
@@ -70,7 +62,7 @@ def test_linking_number_examples():
 def test_linking_number_random_lhat():
     rng = random.Random(22)
     for _ in range(60):
-        assert linking_number(build_lhat_diagram(rand_pres(rng))) == 0
+        assert linking_number(build_lhat_diagram(random_presentation(rng, max_n=3, max_alpha=6, max_c=3))) == 0
 
 
 def test_knot_diagram_validates():

@@ -7,7 +7,6 @@ from equibridge.laurent import (
     DomainError,
     LaurentPoly,
     ZPoly,
-    lp_divexact,
     lp_is_eta_admissible,
     lp_parse,
     lp_to_str,
@@ -100,12 +99,6 @@ def test_rf_equality_is_canonical():
     # a sanity identity instead: scaling both parts leaves the value fixed
     c = rf_make(lp("2 - t - t^-1") * 6, lp("3 - t - t^-1") * 6)
     assert a == c
-
-
-def test_lp_divexact():
-    assert lp_divexact(lp("t^2 - 1"), lp("t - 1")) == lp("t + 1")
-    with pytest.raises(DomainError):
-        lp_divexact(lp("t^2 + 1"), lp("t - 1"))
 
 
 coeffs = st.dictionaries(st.integers(-4, 4), st.integers(-9, 9), max_size=5)

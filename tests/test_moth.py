@@ -14,24 +14,15 @@ from equibridge.moth import (
     INCONCLUSIVE,
     OrderCertificate,
     certificate_from_invariants,
-    moth_polynomial,
     order_certificate,
 )
-from equibridge.presentations import I1Presentation, butterfly_fraction, parse_i1
+from equibridge.presentations import butterfly_fraction, knot_fraction, parse_i1
 from equibridge.butterfly import butterfly_polynomial
-
-
-def rand_pres(rng, n_max=3, a_max=6, c_max=3):
-    n = rng.randint(1, n_max)
-    alphas = tuple(rng.choice([a for a in range(-a_max, a_max + 1)
-                               if a and a % 2 == 0]) for _ in range(n))
-    cs = tuple(rng.choice([c for c in range(-c_max, c_max + 1) if c])
-               for _ in range(n))
-    return I1Presentation(alphas, cs)
+from equibridge.cli import random_presentation
 
 
 def test_moth_of_trefoil_presentation():
-    m = moth_polynomial(parse_i1("2;1"))
+    m = order_certificate(parse_i1("2;1")).moth
     expected = rf_make(lp_parse("2 - t - t^-1"), lp_parse("3 - t - t^-1"))
     neg = rf_make(lp_parse("-2 + t + t^-1"), lp_parse("3 - t - t^-1"))
     assert m in (expected, neg)
@@ -40,7 +31,7 @@ def test_moth_of_trefoil_presentation():
 def test_moth_symmetry_and_vanishing_at_one():
     rng = random.Random(51)
     for _ in range(40):
-        m = moth_polynomial(rand_pres(rng))
+        m = order_certificate(random_presentation(rng, max_n=3, max_alpha=6, max_c=3)).moth
         assert m.subs_inv_equal()
         assert m.eval_at(1) == 0
 
@@ -50,6 +41,8 @@ def test_order_certificate_examples():
     assert cert.verdict == INFINITE_ORDER
     assert cert.determinant_lhat == 8
     assert cert.conway_lhat in (zp_parse("z^3"), zp_parse("-z^3"))
+    assert cert.determinant_knot == 3
+    assert cert.conway_knot == zp_parse("1 + z^2")
 
 
 def test_vanishing_family_still_infinite_order():
@@ -63,22 +56,23 @@ def test_vanishing_family_still_infinite_order():
 def test_every_small_presentation_infinite_order():
     rng = random.Random(52)
     for _ in range(40):
-        pres = rand_pres(rng)
+        pres = random_presentation(rng, max_n=3, max_alpha=6, max_c=3)
         cert = order_certificate(pres)
         assert cert.verdict == INFINITE_ORDER
         assert cert.determinant_lhat == abs(butterfly_fraction(pres).p)
+        assert cert.determinant_knot == abs(knot_fraction(pres).p)
 
 
 def test_inconclusive_branch_via_stub():
     moth = rf_make(lp_parse("0"), lp_parse("1"))
-    cert = certificate_from_invariants(ZPoly.zero(), 0, moth)
+    cert = certificate_from_invariants(ZPoly.zero(), 0, moth, ZPoly.one(), 1)
     assert cert.verdict == INCONCLUSIVE
 
 
 def test_certificate_invariant_guard():
     moth = rf_make(lp_parse("0"), lp_parse("1"))
     with pytest.raises(InvariantViolation):
-        OrderCertificate(INFINITE_ORDER, ZPoly.zero(), 0, moth)
+        OrderCertificate(INFINITE_ORDER, ZPoly.zero(), 0, moth, ZPoly.one(), 1)
 
 
 def test_certificate_json_fields():
@@ -91,7 +85,7 @@ def test_moth_parts_are_palindromic():
     """Symmetry under t -> 1/t makes both stored polynomials palindromic."""
     rng = random.Random(53)
     for _ in range(30):
-        m = moth_polynomial(rand_pres(rng))
+        m = order_certificate(random_presentation(rng, max_n=3, max_alpha=6, max_c=3)).moth
         for poly in (m.num, m.den):
             if poly.is_zero():
                 continue

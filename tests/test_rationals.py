@@ -7,7 +7,6 @@ from equibridge.laurent import DomainError
 from equibridge.rationals import (
     Frac,
     cf_parse,
-    cf_to_str,
     eval_cf,
     even_cf,
     frac_parse,
@@ -105,7 +104,6 @@ def test_frac_parse_and_print():
     assert frac_parse("-8/3") == Frac.make(-8, 3)
     assert str(Frac.make(6, -4)) == "-3/2"
     assert cf_parse("[2,-2,4]") == [2, -2, 4]
-    assert cf_to_str([2, -2, 4]) == "[2,-2,4]"
 
 
 def test_schubert_classes_examples():

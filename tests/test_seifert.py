@@ -1,28 +1,29 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from equibridge.cli import random_presentation
 from equibridge.diagrams import build_knot_diagram, build_lhat_diagram, build_plat_diagram
-from equibridge.laurent import DomainError, zp_parse
-from equibridge.presentations import I1Presentation, butterfly_fraction, knot_fraction
+from equibridge.laurent import DomainError, InvariantViolation, zp_parse
+from equibridge.presentations import butterfly_fraction, knot_fraction
 from equibridge.seifert import (
     _bareiss_det,
+    _interp_poly,
     conway_polynomial,
     determinant,
-    seifert_matrix,
     seifert_matrix_data,
 )
 
 from skein_oracle import skein_conway
 
 
-def rand_pres(rng, n_max=3, a_max=6, c_max=3):
-    n = rng.randint(1, n_max)
-    alphas = tuple(rng.choice([a for a in range(-a_max, a_max + 1)
-                               if a and a % 2 == 0]) for _ in range(n))
-    cs = tuple(rng.choice([c for c in range(-c_max, c_max + 1) if c])
-               for _ in range(n))
-    return I1Presentation(alphas, cs)
+def assert_unimodular_skew(data):
+    """A knot's Seifert form has det(V - V^T) = +-1."""
+    g = data.rank
+    v = data.matrix
+    skew = [[v[i][j] - v[j][i] for j in range(g)] for i in range(g)]
+    assert abs(_bareiss_det(skew)) == 1
 
 
 def test_matrix_rank_is_crossings_minus_circles_plus_one():
@@ -44,34 +45,31 @@ def test_matrix_rank_is_crossings_minus_circles_plus_one():
 def test_unimodular_skew_part_for_knots():
     rng = random.Random(42)
     for _ in range(60):
-        pres = rand_pres(rng)
-        data = seifert_matrix(build_knot_diagram(pres))
-        g = data.rank
-        v = data.matrix
-        skew = [[v[i][j] - v[j][i] for j in range(g)] for i in range(g)]
-        assert abs(_bareiss_det(skew)) == 1
+        pres = random_presentation(rng, max_n=3, max_alpha=6, max_c=3)
+        assert_unimodular_skew(seifert_matrix_data(build_knot_diagram(pres)))
 
 
 def test_trefoil_seifert_pipeline():
-    pd = build_plat_diagram([2, -2])
-    data = seifert_matrix(pd)
+    data = seifert_matrix_data(build_plat_diagram([2, -2]))
     assert data.rank == 2
-    assert determinant(pd) == 3
-    assert conway_polynomial(pd) == zp_parse("1 + z^2")
+    assert_unimodular_skew(data)
+    assert determinant(data) == 3
+    assert conway_polynomial(data) == zp_parse("1 + z^2")
 
 
 def test_figure_eight_pipeline():
-    pd = build_plat_diagram([2, 2])
-    assert determinant(pd) == 5
-    assert conway_polynomial(pd) == zp_parse("1 - z^2")
+    data = seifert_matrix_data(build_plat_diagram([2, 2]))
+    assert determinant(data) == 5
+    assert conway_polynomial(data) == zp_parse("1 - z^2")
 
 
 def test_unknot_and_hopf():
-    assert conway_polynomial(build_plat_diagram([1])) == zp_parse("1")
-    assert determinant(build_plat_diagram([1])) == 1
-    hopf = conway_polynomial(build_plat_diagram([2]))
-    assert hopf in (zp_parse("z"), zp_parse("-z"))
-    assert determinant(build_plat_diagram([2])) == 2
+    unknot = seifert_matrix_data(build_plat_diagram([1]))
+    assert conway_polynomial(unknot) == zp_parse("1")
+    assert determinant(unknot) == 1
+    hopf = seifert_matrix_data(build_plat_diagram([2]))
+    assert conway_polynomial(hopf) in (zp_parse("z"), zp_parse("-z"))
+    assert determinant(hopf) == 2
 
 
 def test_conway_against_skein_oracle_small_diagrams():
@@ -86,7 +84,7 @@ def test_conway_against_skein_oracle_small_diagrams():
         if pd.component_count() > 2 or (pd.free_loops and pd.crossings):
             continue
         try:
-            nab = conway_polynomial(pd)
+            nab = conway_polynomial(seifert_matrix_data(pd))
         except DomainError:
             continue  # split
         assert nab == skein_conway(pd), ent
@@ -96,10 +94,10 @@ def test_conway_against_skein_oracle_small_diagrams():
 def test_conway_parity_and_normalization():
     rng = random.Random(44)
     for _ in range(40):
-        pres = rand_pres(rng)
-        nk = conway_polynomial(build_knot_diagram(pres))
+        pres = random_presentation(rng, max_n=3, max_alpha=6, max_c=3)
+        nk = conway_polynomial(seifert_matrix_data(build_knot_diagram(pres)))
         assert nk.even_only() and nk.coeff(0) == 1
-        nl = conway_polynomial(build_lhat_diagram(pres))
+        nl = conway_polynomial(seifert_matrix_data(build_lhat_diagram(pres)))
         assert nl.odd_only()
         assert nl.coeff(1) == 0  # z coefficient equals the linking number
 
@@ -107,22 +105,22 @@ def test_conway_parity_and_normalization():
 def test_determinant_equals_fraction_numerators():
     rng = random.Random(45)
     for _ in range(50):
-        pres = rand_pres(rng)
-        assert determinant(build_knot_diagram(pres)) == abs(knot_fraction(pres).p)
-        assert determinant(build_lhat_diagram(pres)) == \
-            abs(butterfly_fraction(pres).p)
+        pres = random_presentation(rng, max_n=3, max_alpha=6, max_c=3)
+        knot = seifert_matrix_data(build_knot_diagram(pres))
+        lhat = seifert_matrix_data(build_lhat_diagram(pres))
+        assert determinant(knot) == abs(knot_fraction(pres).p)
+        assert determinant(lhat) == abs(butterfly_fraction(pres).p)
 
 
 def test_alexander_symmetry_of_seifert_determinant():
     """det(V - w V^T) reads the same from both ends up to sign."""
     rng = random.Random(46)
     for _ in range(30):
-        pres = rand_pres(rng)
+        pres = random_presentation(rng, max_n=3, max_alpha=6, max_c=3)
         data = seifert_matrix_data(build_knot_diagram(pres))
         g = data.rank
         v = data.matrix
         # interpolate P(w) = det(V - w V^T) through integer points
-        from equibridge.seifert import _interp_poly
         pts = [(w, _bareiss_det([[v[i][j] - w * v[j][i] for j in range(g)]
                                  for i in range(g)])) for w in range(0, g + 1)]
         p = _interp_poly(pts)
@@ -140,10 +138,10 @@ def test_split_diagram_rejected():
 def test_hopf_z_coefficient_is_linking_number():
     from equibridge.diagrams import linking_number
 
-    pd = build_plat_diagram([2])
-    assert conway_polynomial(pd).coeff(1) == linking_number(pd)
-    pd = build_plat_diagram([-2])
-    assert conway_polynomial(pd).coeff(1) == linking_number(pd)
+    for entries in ([2], [-2]):
+        pd = build_plat_diagram(entries)
+        nab = conway_polynomial(seifert_matrix_data(pd))
+        assert nab.coeff(1) == linking_number(pd)
 
 
 def test_alexander_values_of_small_knots():
@@ -155,12 +153,16 @@ def test_alexander_values_of_small_knots():
              for i in range(g)]
         return _bareiss_det(m)  # equals den^g * det(V - t V^T)
 
-    v3 = seifert_matrix(build_plat_diagram([2, -2])).matrix
+    d3 = seifert_matrix_data(build_plat_diagram([2, -2]))
+    assert_unimodular_skew(d3)
+    v3 = d3.matrix
     # t^2 - t + 1 up to units: check value at t = 2 (|.| = 3) and t = -1 (3)
     assert abs(alex(v3, 2, 1)) == 3
     assert abs(alex(v3, -1, 1)) == 3
 
-    v5 = seifert_matrix(build_plat_diagram([2, 2])).matrix
+    d5 = seifert_matrix_data(build_plat_diagram([2, 2]))
+    assert_unimodular_skew(d5)
+    v5 = d5.matrix
     # t^2 - 3t + 1: |at t=2| = 1, |at t=-1| = 5
     assert abs(alex(v5, 2, 1)) == 1
     assert abs(alex(v5, -1, 1)) == 5
@@ -172,8 +174,8 @@ def test_zero_crossing_unknot_closure():
     assert pd.crossing_count() == 0 and pd.component_count() == 1
     data = seifert_matrix_data(pd)
     assert data.rank == 0 and data.circle_count == 1
-    assert conway_polynomial(pd) == zp_parse("1")
-    assert determinant(pd) == 1
+    assert conway_polynomial(data) == zp_parse("1")
+    assert determinant(data) == 1
 
 
 def test_same_knot_same_conway_across_inversions():
@@ -186,8 +188,8 @@ def test_same_knot_same_conway_across_inversions():
         pair = inversions_from_fraction(p, q)
         if pair.inv2 is None:
             continue
-        n1 = conway_polynomial(build_knot_diagram(pair.inv1))
-        n2 = conway_polynomial(build_knot_diagram(pair.inv2))
+        n1 = conway_polynomial(seifert_matrix_data(build_knot_diagram(pair.inv1)))
+        n2 = conway_polynomial(seifert_matrix_data(build_knot_diagram(pair.inv2)))
         assert n1 == n2, (p, q)
 
 
@@ -195,8 +197,31 @@ def test_knot_determinant_equals_conway_at_minus_one():
     """|Delta(-1)| read through z^2 = -4 matches the Seifert determinant."""
     rng = random.Random(47)
     for _ in range(40):
-        pres = rand_pres(rng)
-        pd = build_knot_diagram(pres)
-        nab = conway_polynomial(pd)
+        pres = random_presentation(rng, max_n=3, max_alpha=6, max_c=3)
+        data = seifert_matrix_data(build_knot_diagram(pres))
+        nab = conway_polynomial(data)
         value = sum(c * (-4) ** (e // 2) for e, c in nab.coeffs().items())
-        assert abs(value) == determinant(pd)
+        assert abs(value) == determinant(data)
+
+
+def _conway_nodes(count):
+    """The evaluation points 0, 1, -1, 2, -2, ... of `conway_polynomial`."""
+    return [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(count)]
+
+
+@given(st.lists(st.integers(-10**6, 10**6), max_size=26), st.integers(0, 2))
+def test_interp_poly_recovers_integer_polynomials(coeffs, extra):
+    pts = [(x, sum(c * x**k for k, c in enumerate(coeffs)))
+           for x in _conway_nodes(len(coeffs) + 1 + extra)]
+    expected = list(coeffs)
+    while expected and expected[-1] == 0:
+        expected.pop()
+    assert _interp_poly(pts) == expected
+
+
+def test_interp_poly_rejects_non_integer_coefficients():
+    # (x^2 + x) / 2 takes integer values at integers but has half-integer
+    # coefficients.
+    pts = [(x, (x * x + x) // 2) for x in _conway_nodes(3)]
+    with pytest.raises(InvariantViolation):
+        _interp_poly(pts)

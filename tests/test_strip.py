@@ -4,8 +4,9 @@ from collections import Counter
 import pytest
 
 from equibridge.butterfly import butterfly_polynomial
+from equibridge.cli import random_presentation
 from equibridge.laurent import LaurentPoly, lp_is_eta_admissible
-from equibridge.presentations import I1Presentation, parse_i1
+from equibridge.presentations import parse_i1
 from equibridge.strip import (
     Arc,
     Crossing,
@@ -20,15 +21,6 @@ from equibridge.strip import (
     print_strip,
     strip_census,
 )
-
-
-def rand_pres(rng, n_max=4, a_max=8, c_max=4):
-    n = rng.randint(1, n_max)
-    alphas = tuple(rng.choice([a for a in range(-a_max, a_max + 1)
-                               if a and a % 2 == 0]) for _ in range(n))
-    cs = tuple(rng.choice([c for c in range(-c_max, c_max + 1) if c])
-               for _ in range(n))
-    return I1Presentation(alphas, cs)
 
 
 def test_build_counts_for_small_example():
@@ -73,7 +65,7 @@ def test_box_census_after_labeling():
     sigma_i, with |c_i| crossings on each side and uniform sign."""
     rng = random.Random(11)
     for _ in range(120):
-        pres = rand_pres(rng, n_max=3)
+        pres = random_presentation(rng, max_n=3)
         d = build_strip(pres)
         ls = label_strip(d)
         rail = d.start_arc
@@ -101,7 +93,7 @@ def test_telescoping_rail_vertical_sum():
     """Away from the boxes, the signed d != 0 census cancels exactly."""
     rng = random.Random(12)
     for _ in range(200):
-        pres = rand_pres(rng)
+        pres = random_presentation(rng)
         d = build_strip(pres)
         census = strip_census(label_strip(d))
         acc = {}
@@ -117,7 +109,7 @@ def test_telescoping_rail_vertical_sum():
 def test_walk_net_label_change_zero():
     rng = random.Random(13)
     for _ in range(100):
-        d = build_strip(rand_pres(rng))
+        d = build_strip(random_presentation(rng))
         labels = label_strip(d).labels
         assert labels[d.start_arc] == 0
 
@@ -136,7 +128,7 @@ def test_oracle_vanishing_family():
 def test_oracle_equivalence_500_seeded():
     rng = random.Random(20240814)
     for _ in range(500):
-        pres = rand_pres(rng)
+        pres = random_presentation(rng)
         eta = eta_oracle(pres)
         assert eta == butterfly_polynomial(pres)
         assert lp_is_eta_admissible(eta)
@@ -163,7 +155,7 @@ def test_orientation_flips_are_respected():
     """Reversing listed endpoints (and listed signs) leaves eta unchanged."""
     rng = random.Random(14)
     for _ in range(150):
-        pres = rand_pres(rng, n_max=3)
+        pres = random_presentation(rng, max_n=3)
         d = build_strip(pres)
         flip = {a.ident: rng.random() < 0.5 for a in d.arcs}
         arcs = tuple(
