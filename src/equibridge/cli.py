@@ -6,6 +6,7 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import os
 import random
 import sys
 import time
@@ -186,9 +187,15 @@ def cmd_table(args) -> int:
     if args.max_p < 3:
         print("error: --max-p must be at least 3", file=sys.stderr)
         return 2
+    if args.parallel < 1:
+        print("error: --parallel must be at least 1", file=sys.stderr)
+        return 2
     classes = schubert_classes(args.max_p)
-    if args.parallel > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as ex:
+    # A forked pool starts every worker at once, so never ask for more
+    # workers than there are CPUs or classes.
+    workers = min(args.parallel, os.cpu_count() or 1, len(classes))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_class_report, classes))
     else:
         results = [_class_report(pq) for pq in classes]
@@ -252,8 +259,8 @@ def cmd_verify(args) -> int:
         print("error: --samples must be at least 1", file=sys.stderr)
         return 2
     rng = random.Random(args.seed)
-    # (suite name, presentation, cause: "" for a plain mismatch)
-    failures: list[tuple[str, I1Presentation, str]] = []
+    # (suite name, presentation, exception raised or None for a mismatch)
+    failures: list[tuple[str, I1Presentation, Optional[Exception]]] = []
 
     def suite(name, count, gen, check):
         ok = 0
@@ -263,9 +270,9 @@ def cmd_verify(args) -> int:
                 if check(pres):
                     ok += 1
                 else:
-                    failures.append((name, pres, ""))
+                    failures.append((name, pres, None))
             except Exception as exc:  # any crash is a failure; keep its cause
-                failures.append((name, pres, f"{type(exc).__name__}: {exc}"))
+                failures.append((name, pres, exc))
         print(f"{name}: {ok}/{count}")
 
     def oracle_check(pres):
@@ -308,9 +315,11 @@ def cmd_verify(args) -> int:
     suite("moth properties", small,
           lambda: random_presentation(rng, max_n=3, max_alpha=6, max_c=3),
           moth_check)
-    for name, pres, cause in failures:
-        raised = f" raised {cause};" if cause else ""
+    for name, pres, exc in failures:
+        raised = f" raised {type(exc).__name__}: {exc};" if exc is not None else ""
         print(f"FAIL [{name}]:{raised} reproduce with: {analyze_ready(pres)}")
+    if any(isinstance(exc, InvariantViolation) for _, _, exc in failures):
+        return 3
     if failures:
         return 1
     print("all suites passed")
@@ -375,7 +384,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     pe.set_defaults(func=cmd_oracle_eta)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvariantViolation as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Exact Laurent-polynomial and rational-function arithmetic in one variable.
 
-Coefficients are arbitrary-precision integers (rationals only transiently,
-during gcd reduction and evaluation).  No floating point anywhere.
+Coefficients are arbitrary-precision integers; rationals appear only as the
+values of `eval_at`.  Rational functions are reduced in Z[t] by a primitive
+pseudo-remainder-sequence gcd and exact integer division.  No floating point
+anywhere.
 """
 from __future__ import annotations
 
@@ -276,22 +278,7 @@ class ZPoly:
 
 
 def zp_to_str(p: ZPoly) -> str:
-    if p.is_zero():
-        return "0"
-    parts: list[str] = []
-    for e in p.support():
-        c = p.coeff(e)
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            zpow = "z" if e == 1 else f"z^{e}"
-            body = zpow if mag == 1 else f"{mag}*{zpow}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return lp_to_str(LaurentPoly(p.coeffs())).replace("t", "z")
 
 
 def zp_parse(text: str) -> ZPoly:
@@ -322,45 +309,47 @@ def z_to_t(p: ZPoly) -> LaurentPoly:
     return out
 
 
-def _poly_divmod_q(num: list[Q], den: list[Q]) -> tuple[list[Q], list[Q]]:
-    """Division with remainder for dense rational coefficient lists (low to high)."""
-    num = list(num)
-    dd = len(den) - 1
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise DomainError("division by zero polynomial")
-    dd = len(den) - 1
-    quot = [Q(0)] * max(0, len(num) - dd)
-    while len(num) - 1 >= dd and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) - 1 < dd:
-            break
-        shift = len(num) - 1 - dd
-        q = num[-1] / den[-1]
-        quot[shift] = q
-        for i, dc in enumerate(den):
-            num[shift + i] -= q * dc
-        num.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
+def _pdivmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
+    """Pseudo-division of dense integer lists (low to high, b trimmed).
+
+    Returns (q, r, k) with k*a == q*b + r and deg r < deg b.  The dividend
+    is scaled by lc(b) only when a leading coefficient is not divisible by
+    it, so k == 1 exactly when the division ran in Z[t].
+    """
+    lead = b[-1]
+    q = [0] * max(0, len(a) - len(b) + 1)
+    r = list(a)
+    k = 1
+    while len(r) >= len(b):
+        c, rem = divmod(r[-1], lead)
+        if rem:
+            c = r[-1]
+            k *= lead
+            q = [x * lead for x in q]
+            r = [x * lead for x in r]
+        shift = len(r) - len(b)
+        q[shift] = c
+        for i, bc in enumerate(b):
+            r[shift + i] -= c * bc
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r, k
 
 
-def _poly_gcd_q(a: list[Q], b: list[Q]) -> list[Q]:
-    """Monic gcd over Q of dense coefficient lists (low to high)."""
-    a = [Q(x) for x in a]
-    b = [Q(x) for x in b]
-    while any(b):
-        _, r = _poly_divmod_q(a, b)
-        a, b = b, r
-    while a and a[-1] == 0:
-        a.pop()
-    if not a:
-        return []
-    lead = a[-1]
-    return [c / lead for c in a]
+def _primitive(p: list[int]) -> list[int]:
+    """Divide out the content and make the leading coefficient positive."""
+    if not p:
+        return p
+    c = gcd(*p) if p[-1] > 0 else -gcd(*p)
+    return [x // c for x in p]
+
+
+def _poly_gcd_z(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd in Z[t], positive leading coefficient, of dense lists
+    (low to high): a pseudo-remainder sequence made primitive at each step."""
+    while b:
+        a, b = b, _primitive(_pdivmod(a, b)[1])
+    return _primitive(a)
 
 
 def _lp_to_dense(f: LaurentPoly) -> tuple[int, list[int]]:
@@ -425,37 +414,22 @@ class RationalFn:
         return f"({lp_to_str(self.num)}) / ({lp_to_str(self.den)})"
 
 
-def _content(dense: list[int]) -> int:
-    g = 0
-    for c in dense:
-        g = gcd(g, abs(c))
-    return g
-
-
 def rf_make(num: LaurentPoly, den: LaurentPoly) -> RationalFn:
-    """Build a RationalFn in canonical form; exact gcd reduction over Q[t]."""
+    """Build a RationalFn in canonical form; exact gcd reduction in Z[t]."""
     if den.is_zero():
         raise DomainError("rational function with zero denominator")
     if num.is_zero():
         return RationalFn(LaurentPoly.zero(), LaurentPoly.const(1))
-    nv, nd = _lp_to_dense(num)
-    dv, dd = _lp_to_dense(den)
-    g = _poly_gcd_q([Q(c) for c in nd], [Q(c) for c in dd])
+    nv, ni = _lp_to_dense(num)
+    dv, di = _lp_to_dense(den)
+    g = _poly_gcd_z(ni, di)
     if len(g) > 1:
-        nq, nr = _poly_divmod_q([Q(c) for c in nd], g)
-        dq, dr = _poly_divmod_q([Q(c) for c in dd], g)
-        if any(nr) or any(dr):
+        # g is primitive, so by Gauss's lemma both quotients are integral.
+        ni, nr, nk = _pdivmod(ni, g)
+        di, dr, dk = _pdivmod(di, g)
+        if nr or dr or nk != 1 or dk != 1:
             raise InvariantViolation("gcd does not divide its arguments")
-    else:
-        nq = [Q(c) for c in nd]
-        dq = [Q(c) for c in dd]
-    # Clear rational denominators jointly.
-    mult = 1
-    for q in nq + dq:
-        mult = mult * q.denominator // gcd(mult, q.denominator)
-    ni = [int(q * mult) for q in nq]
-    di = [int(q * mult) for q in dq]
-    joint = gcd(_content(ni), _content(di))
+    joint = gcd(*ni, *di)
     if joint > 1:
         ni = [c // joint for c in ni]
         di = [c // joint for c in di]

@@ -97,12 +97,6 @@ class StripDiagram:
         if self.start_arc not in ids:
             raise StripError(f"start arc {self.start_arc} does not exist")
 
-    def arc_by_id(self, ident: int) -> Arc:
-        for arc in self.arcs:
-            if arc.ident == ident:
-                return arc
-        raise StripError(f"no arc {ident}")
-
 
 @dataclass(frozen=True)
 class LabeledStrip:
@@ -114,12 +108,12 @@ class LabeledStrip:
 def label_strip(d: StripDiagram) -> LabeledStrip:
     """Walk the strip from the start arc, labelling each arc by its deck
     translate: +1 when re-entering from the lower edge, -1 from the upper."""
-    by_endpoint: dict[tuple[str, int], tuple[int, bool]] = {}
+    by_endpoint: dict[tuple[str, int], tuple[Arc, bool]] = {}
     for arc in d.arcs:
-        by_endpoint[(arc.first.edge, arc.first.slot)] = (arc.ident, True)
-        by_endpoint[(arc.second.edge, arc.second.slot)] = (arc.ident, False)
-
-    start = d.arc_by_id(d.start_arc)
+        by_endpoint[(arc.first.edge, arc.first.slot)] = (arc, True)
+        by_endpoint[(arc.second.edge, arc.second.slot)] = (arc, False)
+        if arc.ident == d.start_arc:
+            start = arc
     labels: dict[int, int] = {start.ident: 0}
     forward: dict[int, bool] = {start.ident: d.start_forward}
     current, fwd, label = start, d.start_forward, 0
@@ -130,17 +124,16 @@ def label_strip(d: StripDiagram) -> LabeledStrip:
             raise StripError("label walk does not close")
         end = current.second if fwd else current.first
         entry = end.opposite()
-        nxt_id, nxt_fwd = by_endpoint[(entry.edge, entry.slot)]
+        current, fwd = by_endpoint[(entry.edge, entry.slot)]
         label += 1 if entry.edge == BOTTOM else -1
-        if nxt_id in labels:
-            if nxt_id != d.start_arc or nxt_fwd != d.start_forward:
+        if current.ident in labels:
+            if current.ident != d.start_arc or fwd != d.start_forward:
                 raise StripError("label walk closes before visiting every arc")
             if label != 0:
                 raise StripError(f"label walk closes with net shift {label}")
             break
-        labels[nxt_id] = label
-        forward[nxt_id] = nxt_fwd
-        current, fwd = d.arc_by_id(nxt_id), nxt_fwd
+        labels[current.ident] = label
+        forward[current.ident] = fwd
     if len(labels) != len(d.arcs):
         raise StripError("label walk does not visit every arc")
     return LabeledStrip(d, labels, forward)

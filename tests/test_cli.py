@@ -3,8 +3,11 @@ import subprocess
 import sys
 from collections import Counter
 
+import pytest
+
 from equibridge import cli, diagrams, seifert
 from equibridge.cli import knot_report
+from equibridge.laurent import InvariantViolation
 
 
 def run_cli(*args):
@@ -104,6 +107,65 @@ def test_verify_lists_every_failure_with_its_exception(monkeypatch, capsys):
                for line in moth)
     assert all(line.startswith("FAIL [b=0 reduction]: reproduce with: analyze --i1=")
                for line in reduction)
+
+
+def test_internal_check_failure_exits_3(monkeypatch, capsys):
+    def broken(pres):
+        raise InvariantViolation("moth polynomial is not symmetric in t")
+
+    monkeypatch.setattr(cli, "order_certificate", broken)
+    assert cli.main(["analyze", "--fraction", "3/2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: internal check failed: "
+                            "moth polynomial is not symmetric in t\n")
+    assert cli.main(["verify", "--samples", "10", "--seed", "1"]) == 3
+    fails = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("FAIL")]
+    assert fails and all(
+        line.startswith("FAIL [moth properties]: raised InvariantViolation: ")
+        for line in fails)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in
+    this process, and starts no worker."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("parallel, cpus, expected", [
+    (1000, 4, 4),    # capped by the CPU count
+    (1000, 64, 8),   # capped by the 8 classes with p <= 9
+    (3, 64, 3),
+    (2, None, None),  # unknown CPU count: one process, no pool
+])
+def test_table_parallel_pool_is_capped(monkeypatch, capsys, parallel, cpus,
+                                       expected):
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    assert cli.main(["table", "--max-p", "9", "--parallel", str(parallel)]) == 0
+    assert RecordingPool.sizes == ([expected] if expected else [])
+    assert capsys.readouterr().err == "8 classes written\n"
+
+
+def test_table_rejects_parallel_below_one(capsys):
+    assert cli.main(["table", "--max-p", "3", "--parallel", "0"]) == 2
+    assert capsys.readouterr().err == "error: --parallel must be at least 1\n"
 
 
 def test_table_smallest():

@@ -1,4 +1,7 @@
+import random
+import time
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +18,8 @@ from equibridge.laurent import (
     zp_parse,
     zp_to_str,
 )
+from equibridge.moth import order_certificate
+from equibridge.presentations import I1Presentation
 
 
 def lp(text):
@@ -94,9 +99,7 @@ def test_rf_make_rejects_zero_denominator():
 
 def test_rf_equality_is_canonical():
     a = rf_make(lp("2 - t - t^-1"), lp("3 - t - t^-1"))
-    b = rf_make(lp("-2*t + 2*t^2 + 2*t^3 - 2*t^2") + lp("-2*t^2 + 2*t"),
-                LaurentPoly.zero() + lp("-2*t^2 + 0"))
-    # a sanity identity instead: scaling both parts leaves the value fixed
+    # scaling both parts leaves the value fixed
     c = rf_make(lp("2 - t - t^-1") * 6, lp("3 - t - t^-1") * 6)
     assert a == c
 
@@ -129,3 +132,92 @@ def test_admissibility_closure(a, k):
 def test_z_to_t_symmetric(d):
     g = z_to_t(ZPoly(d))
     assert g == g.subs_inv()
+
+
+def _coprime_over_q(f, g, prime=2**61 - 1):
+    """Euclid over GF(prime), a route that shares no code with rf_make.
+
+    When the prime divides neither leading coefficient, the gcd of the
+    reductions is a multiple of the reduced gcd over Q, so a constant gcd
+    here certifies that f and g are coprime over Q.
+    """
+    a, b = ([h.coeff(e) % prime for e in range(h.valuation(), h.degree() + 1)]
+            for h in (f, g))
+    assert a[-1] and b[-1]
+    while b:
+        inv = pow(b[-1], -1, prime)
+        while len(a) >= len(b):
+            c = a[-1] * inv % prime
+            shift = len(a) - len(b)
+            for i, x in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * x) % prime
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def assert_canonical(r):
+    """Denominator an ordinary polynomial with non-zero constant term and
+    positive leading coefficient; parts coprime with joint content 1."""
+    assert r.den.valuation() == 0
+    assert r.den.coeff(r.den.degree()) > 0
+    if r.num.is_zero():
+        assert r.den == LaurentPoly.const(1)
+        return
+    assert gcd(*r.num.coeffs().values(), *r.den.coeffs().values()) == 1
+    assert _coprime_over_q(r.num, r.den)
+
+
+nonzero = st.dictionaries(st.integers(-4, 4), st.integers(-9, 9).filter(bool),
+                          min_size=1, max_size=5)
+
+
+@given(coeffs, nonzero, nonzero)
+def test_rf_make_cancels_a_common_factor(a, b, g):
+    x, y, h = LaurentPoly(a), LaurentPoly(b), LaurentPoly(g)
+    r = rf_make(x, y)
+    assert rf_make(x * h, y * h) == r
+    assert_canonical(r)
+    assert r.num * y == r.den * x
+
+
+def _continuant(entries, sign):
+    """The continuant K(sign*e1*z/2, -sign*e2*z/2, sign*e3*z/2, ...) of an
+    even continued fraction: the Conway polynomial of its 2-bridge link."""
+    prev, cur = ZPoly.zero(), ZPoly.one()
+    for i, e in enumerate(entries):
+        x = ZPoly({1: sign * (-1) ** i * (e // 2)})
+        prev, cur = cur, x * cur + prev
+    return cur
+
+
+def _moth_inputs(pres):
+    """(nabla(L-hat)/z, nabla(K)) in t: the two arguments of rf_make for the
+    moth polynomial of a presentation."""
+    lhat = _continuant(pres.butterfly_cf(), -1)
+    knot = _continuant(pres.knot_cf(), 1)
+    return z_to_t(lhat.divide_by_z()), z_to_t(knot)
+
+
+def test_continuant_moth_inputs_match_the_diagram_engine():
+    pres = I1Presentation((2, -4), (1, 2))
+    cert = order_certificate(pres)
+    num, den = _moth_inputs(pres)
+    assert z_to_t(cert.conway_knot) == den
+    assert rf_make(num, den) == cert.moth
+
+
+def test_rf_make_of_a_40_pair_moth_is_fast():
+    rng = random.Random(40)
+    pres = I1Presentation(tuple(rng.choice([-4, -2, 2, 4]) for _ in range(40)),
+                          tuple(rng.choice([-2, -1, 1, 2]) for _ in range(40)))
+    num, den = _moth_inputs(pres)
+    assert min(num.degree(), den.degree()) >= 40
+    start = time.perf_counter()
+    r = rf_make(num, den)
+    assert time.perf_counter() - start < 1
+    assert_canonical(r)
+    assert r.num * den == r.den * num
+    # consecutive continuants are coprime: nothing cancels
+    assert r.den.degree() == den.degree() - den.valuation()

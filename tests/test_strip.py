@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -118,6 +119,14 @@ def test_oracle_equals_formula_generators():
     for n in range(1, 6):
         pres = parse_i1(f"{2 * n};1")
         assert eta_oracle(pres) == butterfly_polynomial(pres)
+
+
+def test_label_walk_is_linear_in_the_number_of_arcs():
+    # 10000 arcs: a walk that scans the arc list at every step is quadratic.
+    pres = parse_i1("20000;1")
+    start = time.perf_counter()
+    assert eta_oracle(pres) == butterfly_polynomial(pres)
+    assert time.perf_counter() - start < 2
 
 
 def test_oracle_vanishing_family():
