@@ -379,8 +379,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     po = sub.add_parser("oracle", help="oracle subcommands")
     osub = po.add_subparsers(dest="oracle_command", required=True)
     pe = osub.add_parser("eta", help="print the labeled strip census and eta")
-    pe.add_argument("--i1", help="presentation, e.g. 2;1")
-    pe.add_argument("--strip", help="strip-code file to parse instead")
+    source = pe.add_mutually_exclusive_group(required=True)
+    source.add_argument("--i1", help="presentation, e.g. 2;1")
+    source.add_argument("--strip", help="strip-code file to parse instead")
     pe.set_defaults(func=cmd_oracle_eta)
 
     args = parser.parse_args(argv)

@@ -11,9 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .laurent import InvariantViolation, RationalFn, ZPoly, rf_make, z_to_t
-from .diagrams import build_knot_diagram, build_lhat_diagram
-from .presentations import I1Presentation, butterfly_fraction, knot_fraction
-from .seifert import conway_polynomial, determinant, seifert_matrix_data
+from .diagrams import OrientedPD, build_knot_diagram, build_lhat_diagram
+from .presentations import (
+    I1Presentation,
+    butterfly_fraction,
+    conway_continuant,
+    knot_fraction,
+)
+from .rationals import Frac
+from .seifert import determinant, seifert_matrix_data
 
 INFINITE_ORDER = "InfiniteOrder"
 INCONCLUSIVE = "Inconclusive"
@@ -78,36 +84,49 @@ def certificate_from_invariants(
 def order_certificate(pres: I1Presentation) -> OrderCertificate:
     """Infinite-order certificate, determinant route cross-checked.
 
-    The determinant |Delta(-1)| of the butterfly link equals the butterfly
-    fraction's numerator size and already forces the Conway polynomial to be
-    non-zero; the full polynomial is carried as supporting data.  Each
-    diagram and its Seifert matrix is built once; the knot's Conway
-    polynomial and determinant ride along on the certificate.
+    Both Conway polynomials are continuants of the continued fractions.  The
+    determinant |Delta(-1)| of the butterfly link equals the butterfly
+    fraction's numerator size and already forces its Conway polynomial to
+    be non-zero; the full polynomial is carried as supporting data.  Each
+    diagram and its Seifert matrix is built once, only for the determinants,
+    which must agree with the fractions and with the Conway polynomials.
     """
-    lhat = seifert_matrix_data(build_lhat_diagram(pres))
-    n = conway_polynomial(lhat)
-    det = determinant(lhat)
-    expected = abs(butterfly_fraction(pres).p)
-    if det != expected:
-        raise InvariantViolation(
-            f"butterfly determinant {det} != fraction numerator {expected}"
-        )
-    if det != _eval_det_from_conway(n):
-        raise InvariantViolation("determinant and Conway polynomial disagree")
-    knot = seifert_matrix_data(build_knot_diagram(pres))
-    d = conway_polynomial(knot)
-    det_knot = determinant(knot)
-    if det_knot != abs(knot_fraction(pres).p):
-        raise InvariantViolation(f"knot determinant mismatch for {pres}")
+    n = conway_continuant(pres.butterfly_cf(), -1)
+    d = conway_continuant(pres.knot_cf(), 1)
+    det = _checked_determinant("butterfly", build_lhat_diagram(pres),
+                               butterfly_fraction(pres), n)
+    det_knot = _checked_determinant("knot", build_knot_diagram(pres),
+                                    knot_fraction(pres), d)
     return certificate_from_invariants(n, det, _moth_from_conways(n, d),
                                        d, det_knot)
 
 
-def _eval_det_from_conway(n: ZPoly) -> int:
-    """|nabla at z = 2i| for an odd polynomial, computed exactly."""
-    total = 0
-    for e, c in n.coeffs().items():
-        # (2i)^e = 2^e * i^e; for odd e this is purely imaginary.
-        k = {1: 1, 3: -1}[e % 4]
-        total += c * k * (1 << e)
-    return abs(total)
+def _checked_determinant(name: str, pd: OrientedPD, fraction: Frac,
+                         nabla: ZPoly) -> int:
+    """|det(V + V^T)| of the diagram, equal to |p| of its fraction and to
+    |nabla(2i)|."""
+    det = determinant(seifert_matrix_data(pd))
+    if det != abs(fraction.p):
+        raise InvariantViolation(
+            f"{name} determinant {det} != fraction numerator {abs(fraction.p)}"
+        )
+    if det != _det_from_conway(nabla):
+        raise InvariantViolation(
+            f"{name} determinant and Conway polynomial disagree"
+        )
+    return det
+
+
+def _det_from_conway(nabla: ZPoly) -> int:
+    """|nabla at z = 2i|, computed exactly.
+
+    (2i)^e = 2^e i^e is real for even e and imaginary for odd e, so the
+    value of a polynomial of one parity is real or imaginary.
+    """
+    parts = [0, 0]
+    for e, c in nabla.coeffs().items():
+        parts[e % 2] += c * (1 if e % 4 < 2 else -1) * 2**e
+    real, imag = parts
+    if real and imag:
+        raise InvariantViolation("Conway polynomial mixes even and odd terms")
+    return abs(real or imag)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .laurent import DomainError, InvariantViolation
+from .laurent import DomainError, InvariantViolation, ZPoly
 from .rationals import Frac, EvenCF, eval_cf, even_cf, two_bridge_equiv
 
 
@@ -115,6 +115,26 @@ def butterfly_fraction(pres: I1Presentation) -> Frac:
     Evaluated projectively so a trailing zero entry (b = 0) is absorbed.
     """
     return eval_cf(pres.butterfly_cf())
+
+
+def conway_continuant(entries: Sequence[int], sign: int) -> ZPoly:
+    """Conway polynomial of the 2-bridge link of an even continued fraction.
+
+    It is the continuant K(sign*e1*z/2, -sign*e2*z/2, sign*e3*z/2, ...)
+    (Koseleff-Pecker, J. Symbolic Comput. 2015): sign +1 for a knot's
+    fraction, -1 for the band-coherently oriented butterfly link.  The
+    recurrence K_i = x_i K_(i-1) + K_(i-2) runs on dense coefficient lists.
+    """
+    prev, cur = [0], [1]
+    for i, e in enumerate(entries):
+        if e % 2:
+            raise DomainError(f"continued-fraction entry {e} is odd")
+        h = (sign if i % 2 == 0 else -sign) * (e // 2)
+        nxt = [0] + [h * c for c in cur]
+        for k, c in enumerate(prev):
+            nxt[k] += c
+        prev, cur = cur, nxt
+    return ZPoly(dict(enumerate(cur)))
 
 
 @dataclass(frozen=True)

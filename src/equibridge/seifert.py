@@ -1,5 +1,9 @@
 """Seifert surfaces of oriented plat diagrams: circles, the Seifert matrix,
-the Conway polynomial, and the link determinant.
+the link determinant, and the Conway polynomial.
+
+The determinant backs the cross-checks of `moth.order_certificate`; the
+Conway polynomial is an independent oracle for the continuant formula
+`presentations.conway_continuant`, and only tests call it.
 
 The surface is the usual one: a disk for every circle of the oriented
 smoothing (nested circles stacked), a half-twisted band for every crossing.
@@ -439,6 +443,9 @@ def _interp_poly(points: list[tuple[int, int]]) -> list[int]:
 
 def conway_polynomial(data: SeifertData) -> ZPoly:
     """The normalized skein polynomial det(1/x V - x V^T) with z = x - 1/x.
+
+    An oracle: the production path reads Conway polynomials off the
+    continued fraction (`presentations.conway_continuant`).
 
     The global sign of the odd (2-component) case follows the skein
     normalization nabla(L+) - nabla(L-) = z nabla(L0); the transposed form

@@ -238,6 +238,13 @@ def test_oracle_eta_strip_file(tmp_path):
     assert "eta = t^-2 - 2 + t^2" in out
 
 
+@pytest.mark.parametrize("args", [(), ("--i1", "2;1", "--strip", "s.strip")])
+def test_oracle_eta_needs_exactly_one_source(args):
+    code, out, err = run_cli("oracle", "eta", *args)
+    assert code == 2 and out == ""
+    assert "usage:" in err and "Traceback" not in err
+
+
 def test_reports_recompute_per_inversion():
     report = knot_report(fraction="5/2")
     inv1, inv2 = report["inversions"]

@@ -18,8 +18,10 @@ from equibridge.laurent import (
     zp_parse,
     zp_to_str,
 )
+from equibridge.diagrams import build_knot_diagram, build_lhat_diagram
 from equibridge.moth import order_certificate
-from equibridge.presentations import I1Presentation
+from equibridge.presentations import I1Presentation, conway_continuant
+from equibridge.seifert import conway_polynomial, seifert_matrix_data
 
 
 def lp(text):
@@ -182,30 +184,22 @@ def test_rf_make_cancels_a_common_factor(a, b, g):
     assert r.num * y == r.den * x
 
 
-def _continuant(entries, sign):
-    """The continuant K(sign*e1*z/2, -sign*e2*z/2, sign*e3*z/2, ...) of an
-    even continued fraction: the Conway polynomial of its 2-bridge link."""
-    prev, cur = ZPoly.zero(), ZPoly.one()
-    for i, e in enumerate(entries):
-        x = ZPoly({1: sign * (-1) ** i * (e // 2)})
-        prev, cur = cur, x * cur + prev
-    return cur
-
-
 def _moth_inputs(pres):
     """(nabla(L-hat)/z, nabla(K)) in t: the two arguments of rf_make for the
     moth polynomial of a presentation."""
-    lhat = _continuant(pres.butterfly_cf(), -1)
-    knot = _continuant(pres.knot_cf(), 1)
+    lhat = conway_continuant(pres.butterfly_cf(), -1)
+    knot = conway_continuant(pres.knot_cf(), 1)
     return z_to_t(lhat.divide_by_z()), z_to_t(knot)
 
 
 def test_continuant_moth_inputs_match_the_diagram_engine():
     pres = I1Presentation((2, -4), (1, 2))
-    cert = order_certificate(pres)
+    lhat = conway_polynomial(seifert_matrix_data(build_lhat_diagram(pres)))
+    knot = conway_polynomial(seifert_matrix_data(build_knot_diagram(pres)))
     num, den = _moth_inputs(pres)
-    assert z_to_t(cert.conway_knot) == den
-    assert rf_make(num, den) == cert.moth
+    assert z_to_t(lhat.divide_by_z()) == num
+    assert z_to_t(knot) == den
+    assert rf_make(num, den) == order_certificate(pres).moth
 
 
 def test_rf_make_of_a_40_pair_moth_is_fast():

@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from equibridge import cli, moth
 from equibridge.laurent import (
     InvariantViolation,
     lp_parse,
@@ -16,7 +18,12 @@ from equibridge.moth import (
     certificate_from_invariants,
     order_certificate,
 )
-from equibridge.presentations import butterfly_fraction, knot_fraction, parse_i1
+from equibridge.presentations import (
+    I1Presentation,
+    butterfly_fraction,
+    knot_fraction,
+    parse_i1,
+)
 from equibridge.butterfly import butterfly_polynomial
 from equibridge.cli import random_presentation
 
@@ -92,3 +99,39 @@ def test_moth_parts_are_palindromic():
             lo, hi = poly.valuation(), poly.degree()
             assert all(poly.coeff(lo + k) == poly.coeff(hi - k)
                        for k in range(hi - lo + 1))
+
+
+def test_order_certificate_of_40_pairs_is_fast():
+    pres = I1Presentation((2,) * 40, (1,) * 40)
+    start = time.perf_counter()
+    cert = order_certificate(pres)
+    assert time.perf_counter() - start < 1
+    assert cert.verdict == INFINITE_ORDER
+    assert cert.determinant_knot == abs(knot_fraction(pres).p)
+
+
+def test_det_from_conway_reads_both_parities():
+    assert moth._det_from_conway(zp_parse("1 + z^2")) == 3  # trefoil
+    assert moth._det_from_conway(zp_parse("1 - z^2")) == 5  # figure eight
+    assert moth._det_from_conway(zp_parse("z^3")) == 8
+    assert moth._det_from_conway(zp_parse("z + z^3")) == 6
+    with pytest.raises(InvariantViolation):
+        moth._det_from_conway(zp_parse("1 + z"))
+
+
+@pytest.mark.parametrize("sign, name, extra", [(1, "knot", {2: 2}),
+                                               (-1, "butterfly", {3: 2})])
+def test_wrong_conway_polynomial_fails_the_determinant_check(
+        monkeypatch, capsys, sign, name, extra):
+    real = moth.conway_continuant
+
+    def wrong(entries, s):
+        nabla = real(entries, s)
+        return nabla + ZPoly(extra) if s == sign else nabla
+
+    monkeypatch.setattr(moth, "conway_continuant", wrong)
+    message = f"{name} determinant and Conway polynomial disagree"
+    with pytest.raises(InvariantViolation, match=message):
+        order_certificate(parse_i1("2;1"))
+    assert cli.main(["analyze", "--fraction", "3/2"]) == 3
+    assert capsys.readouterr().err == f"error: internal check failed: {message}\n"

@@ -1,16 +1,21 @@
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from equibridge.diagrams import build_knot_diagram, build_lhat_diagram
+from equibridge.laurent import DomainError, zp_parse
 from equibridge.presentations import (
     I1Presentation,
     ParseError,
     butterfly_fraction,
+    conway_continuant,
     inversions_from_fraction,
     knot_fraction,
     parse_i1,
 )
-from equibridge.rationals import Frac, two_bridge_equiv
+from equibridge.rationals import Frac, schubert_classes, two_bridge_equiv
+from equibridge.seifert import conway_polynomial, seifert_matrix_data
 
 
 def test_parse_and_derived_fields():
@@ -118,3 +123,49 @@ def test_inversions_schubert_equivalent_sweep():
                     continue
                 pp, qq = knot_fraction(inv).positive_numerator()
                 assert two_bridge_equiv(pp, qq, p, q)
+
+
+def test_conway_continuant_examples():
+    assert conway_continuant([], 1) == zp_parse("1")
+    assert conway_continuant([2, -2], 1) == zp_parse("1 + z^2")  # trefoil
+    assert conway_continuant([2, 2], 1) == zp_parse("1 - z^2")  # figure eight
+    assert conway_continuant([2], -1) == zp_parse("-z")  # Hopf link
+    with pytest.raises(DomainError):
+        conway_continuant([2, 3], 1)
+
+
+def _continuant_conways(pres):
+    return (conway_continuant(pres.knot_cf(), 1),
+            conway_continuant(pres.butterfly_cf(), -1))
+
+
+def _seifert_conways(pres):
+    """The oracle: Conway polynomials of the knot and the butterfly link
+    read off the Seifert matrices of their plat diagrams."""
+    return tuple(conway_polynomial(seifert_matrix_data(build(pres)))
+                 for build in (build_knot_diagram, build_lhat_diagram))
+
+
+def test_conway_continuant_matches_the_seifert_oracle_up_to_p_45():
+    count = 0
+    for p, q in schubert_classes(45):
+        pair = inversions_from_fraction(p, q)
+        for pres in (pair.inv1, pair.inv2):
+            if pres is not None:
+                assert _continuant_conways(pres) == _seifert_conways(pres), pres
+                count += 1
+    assert count == 304
+
+
+twist_data = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from([-8, -6, -4, -2, 2, 4, 6, 8]),
+             min_size=n, max_size=n),
+    st.lists(st.integers(-20, 20).filter(bool), min_size=n, max_size=n),
+))
+
+
+@settings(max_examples=25, deadline=None)
+@given(twist_data)
+def test_conway_continuant_matches_the_seifert_oracle(data):
+    pres = I1Presentation(*map(tuple, data))
+    assert _continuant_conways(pres) == _seifert_conways(pres)
