@@ -97,9 +97,6 @@ class OrientedPD:
         base = 1 if self.crossings[ci].over_a else -1
         return base * dir_a * dir_b
 
-    def writhe(self) -> int:
-        return sum(self.crossing_sign(ci) for ci in range(len(self.crossings)))
-
 
 class _Piece:
     __slots__ = ("ident", "points", "head", "tail")
@@ -453,29 +450,3 @@ def linking_number(pd: OrientedPD) -> int:
     if total % 2 != 0:
         raise InvariantViolation("odd inter-component crossing sum")
     return total // 2
-
-
-def pd_code_text(pd: OrientedPD) -> str:
-    """One line per crossing: X a b c d, edges numbered along components in
-    traversal order, listed counterclockwise from the incoming under-edge."""
-    number: dict[int, int] = {}
-    n = 0
-    for comp in pd.components:
-        for eid, _ in comp:
-            n += 1
-            number[eid] = n
-    ccw = {"ne": "nw", "nw": "sw", "sw": "se", "se": "ne"}
-    lines = []
-    for ci, c in enumerate(pd.crossings):
-        dir_a, dir_b = pd.strand_dirs(ci)
-        if not c.over_a:
-            start = "nw" if dir_a == 1 else "se"
-        else:
-            start = "sw" if dir_b == 1 else "ne"
-        slots = []
-        s = start
-        for _ in range(4):
-            slots.append(number[c.slot(s)])
-            s = ccw[s]
-        lines.append("X " + " ".join(str(k) for k in slots))
-    return "\n".join(lines) + "\n"

@@ -1,14 +1,14 @@
 """Exact Laurent-polynomial and rational-function arithmetic in one variable.
 
-Coefficients are arbitrary-precision integers; rationals appear only as the
-values of `eval_at`.  Rational functions are reduced in Z[t] by a primitive
+Coefficients are arbitrary-precision integers and every operation stays in
+the integers: the only evaluation is at t = 1, a coefficient sum, and
+rational functions are reduced in Z[t] by a primitive
 pseudo-remainder-sequence gcd and exact integer division.  No floating point
 anywhere.
 """
 from __future__ import annotations
 
 import re
-from fractions import Fraction as Q
 from math import gcd
 from typing import Iterable, Mapping
 
@@ -40,10 +40,6 @@ class LaurentPoly:
     @classmethod
     def const(cls, n: int) -> "LaurentPoly":
         return cls({0: n})
-
-    @classmethod
-    def t_power(cls, e: int, coeff: int = 1) -> "LaurentPoly":
-        return cls({e: coeff})
 
     def coeffs(self) -> dict[int, int]:
         return dict(self._c)
@@ -117,12 +113,9 @@ class LaurentPoly:
         """Substitute t -> 1/t, i.e. reverse all exponents."""
         return LaurentPoly({-e: c for e, c in self._c.items()})
 
-    def eval_at(self, x: "Q | int") -> Q:
-        """Exact evaluation at a rational point."""
-        x = Q(x)
-        if x == 0 and self._c and min(self._c) < 0:
-            raise DomainError("evaluation at 0 with negative exponents present")
-        return sum((Q(c) * x**e for e, c in self._c.items()), Q(0))
+    def value_at_one(self) -> int:
+        """f(1), the sum of the coefficients."""
+        return sum(self._c.values())
 
     def __repr__(self) -> str:
         return f"LaurentPoly({lp_to_str(self)!r})"
@@ -133,7 +126,7 @@ class LaurentPoly:
 
 def lp_is_eta_admissible(f: LaurentPoly) -> bool:
     """True iff f(t) = f(1/t) and f(1) = 0."""
-    return f == f.subs_inv() and f.eval_at(1) == 0
+    return f == f.subs_inv() and f.value_at_one() == 0
 
 
 def lp_to_str(f: LaurentPoly) -> str:
@@ -267,9 +260,6 @@ class ZPoly:
             raise DomainError("not divisible by z: constant term present")
         return ZPoly({e - 1: c for e, c in self._c.items()})
 
-    def eval_at(self, x: "Q | int") -> Q:
-        return sum((Q(c) * Q(x) ** e for e, c in self._c.items()), Q(0))
-
     def __repr__(self) -> str:
         return f"ZPoly({zp_to_str(self)!r})"
 
@@ -398,12 +388,6 @@ class RationalFn:
         lhs = self.num.subs_inv() * self.den
         rhs = self.num * self.den.subs_inv()
         return lhs == rhs
-
-    def eval_at(self, x: "Q | int") -> Q:
-        d = self.den.eval_at(x)
-        if d == 0:
-            raise DomainError(f"denominator vanishes at {x}")
-        return self.num.eval_at(x) / d
 
     def __repr__(self) -> str:
         return f"RationalFn({lp_to_str(self.num)!r}, {lp_to_str(self.den)!r})"

@@ -37,12 +37,13 @@ def _moth_from_conways(n: ZPoly, d: ZPoly) -> RationalFn:
         raise InvariantViolation("butterfly-link Conway polynomial has a z term")
     num = z_to_t(reduced)
     den = z_to_t(d)
-    if den.eval_at(1) == 0:
+    if den.value_at_one() == 0:
         raise InvariantViolation("knot Conway normalization lost")
     fn = rf_make(num, den)
     if not fn.subs_inv_equal():
         raise InvariantViolation("moth polynomial is not symmetric in t")
-    if not fn.is_zero() and fn.eval_at(1) != 0:
+    # den(1) != 0 survives the reduction, so the value at 1 is num(1)/den(1).
+    if fn.num.value_at_one() != 0:
         raise InvariantViolation("moth polynomial does not vanish at 1")
     return fn
 

@@ -8,6 +8,7 @@ c_i non-zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .laurent import DomainError, InvariantViolation, ZPoly
@@ -78,6 +79,16 @@ class I1Presentation:
         """The knot continued fraction with the balancing -b entry appended."""
         return self.knot_cf() + [-self.b]
 
+    # Evaluated on first use and kept, so every invariant of one
+    # presentation shares a single evaluation of each fraction.
+    @cached_property
+    def knot_fraction(self) -> Frac:
+        return eval_cf(self.knot_cf())
+
+    @cached_property
+    def butterfly_fraction(self) -> Frac:
+        return eval_cf(self.butterfly_cf())
+
     def __str__(self) -> str:
         return (
             "I1("
@@ -106,7 +117,7 @@ def parse_i1(text: str) -> I1Presentation:
 
 def knot_fraction(pres: I1Presentation) -> Frac:
     """Fraction of the underlying 2-bridge knot."""
-    return eval_cf(pres.knot_cf())
+    return pres.knot_fraction
 
 
 def butterfly_fraction(pres: I1Presentation) -> Frac:
@@ -114,7 +125,7 @@ def butterfly_fraction(pres: I1Presentation) -> Frac:
 
     Evaluated projectively so a trailing zero entry (b = 0) is absorbed.
     """
-    return eval_cf(pres.butterfly_cf())
+    return pres.butterfly_fraction
 
 
 def conway_continuant(entries: Sequence[int], sign: int) -> ZPoly:

@@ -39,17 +39,11 @@ class Frac:
     def is_infinite(self) -> bool:
         return self.q == 0
 
-    def is_zero(self) -> bool:
-        return self.p == 0
-
     def reciprocal(self) -> "Frac":
         return Frac.make(self.q, self.p)
 
     def plus_int(self, n: int) -> "Frac":
         return Frac.make(n * self.q + self.p, self.q)
-
-    def __neg__(self) -> "Frac":
-        return Frac.make(-self.p, self.q)
 
     def positive_numerator(self) -> tuple[int, int]:
         """Return (p, q) with the pair's sign flipped so p > 0.
@@ -76,10 +70,13 @@ def eval_cf(entries: Sequence[int]) -> Frac:
     """Evaluate [a1, ..., an] = a1 + 1/(a2 + 1/(... + 1/an)) over Q u {inf}."""
     if len(entries) == 0:
         raise DomainError("empty continued fraction")
-    v = Frac.make(entries[-1], 1)
-    for a in reversed(entries[:-1]):
-        v = v.reciprocal().plus_int(a)
-    return v
+    # One continuant product from the innermost entry out: p/q -> a + q/p
+    # starting at 1/0.  Each step has determinant -1, so the pair stays
+    # coprime and never becomes 0/0; only the sign needs normalizing.
+    p, q = 1, 0
+    for a in reversed(entries):
+        p, q = a * p + q, p
+    return Frac.make(p, q)
 
 
 def cf_parse(text: str) -> list[int]:
@@ -148,15 +145,6 @@ def even_cf(f: Frac) -> EvenCF:
     if check != Frac.make(p, q0):
         raise InvariantViolation(f"even_cf round-trip failed for {p}/{q}")
     return ecf
-
-
-def neg_inverse_mod(p: int, q: int) -> int:
-    """The q' in [1, p-1] with q*q' = -1 (mod p)."""
-    if p < 2:
-        raise DomainError("modulus must be at least 2")
-    if gcd(p, q % p) != 1:
-        raise DomainError(f"{q} is not invertible mod {p}")
-    return (-pow(q, -1, p)) % p
 
 
 def normalize_class(p: int, q: int) -> tuple[int, int]:

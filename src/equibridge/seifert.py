@@ -180,6 +180,7 @@ def _check_connected(pd: OrientedPD, circles, bands):
 
     def find(a):
         while parent[a] != a:
+            parent[a] = parent[parent[a]]  # path halving
             a = parent[a]
         return a
 

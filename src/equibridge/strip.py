@@ -160,7 +160,7 @@ def eta_from_strip(ls: LabeledStrip) -> LaurentPoly:
         if d != 0:
             acc[d] = acc.get(d, 0) + eps
     bar = LaurentPoly(acc)
-    return bar - int(bar.eval_at(1))
+    return bar - bar.value_at_one()
 
 
 # ---------------------------------------------------------------------------

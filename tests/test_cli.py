@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,9 +6,10 @@ from collections import Counter
 
 import pytest
 
-from equibridge import cli, diagrams, seifert
+from equibridge import cli, diagrams, rationals, seifert
 from equibridge.cli import knot_report
 from equibridge.laurent import InvariantViolation
+from equibridge.rationals import schubert_classes
 
 
 def run_cli(*args):
@@ -89,6 +91,54 @@ def test_i1_input_equal_to_an_inversion_analyzed_once(monkeypatch):
     counts = Counter(str(pres) for (pres,) in analyzed)
     assert counts["I1(2,4;1,1)"] == 1
     assert set(counts.values()) == {1}
+
+
+def test_fractions_evaluated_once_per_presentation(monkeypatch, capsys):
+    # Per presentation: the knot and butterfly fractions plus the two
+    # reversed ones of the nullity check; per class: the even_cf round trip.
+    analyzed = count_calls(monkeypatch, cli, "analyze_presentation")
+    evaluated = count_calls(monkeypatch, rationals, "eval_cf")
+    assert cli.main(["table", "--max-p", "15"]) == 0
+    capsys.readouterr()
+    assert len(evaluated) <= 4 * len(analyzed) + len(schubert_classes(15))
+
+
+def test_import_leaves_fractions_out():
+    code = ("import sys, equibridge.cli; "
+            "print('fractions' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
+def test_table_report_bytes_are_pinned(tmp_path):
+    out = tmp_path / "t25.jsonl"
+    assert cli.main(["table", "--max-p", "25", "--format", "jsonl",
+                     "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert len(data) == 86856
+    assert hashlib.sha256(data).hexdigest() == (
+        "c36a6f474388932de31abe360b7f430568de978ec9aaf70bf81df2703635daef")
+
+
+HUGE = "7" * 4301  # over Python's default limit on integer digit strings
+
+
+@pytest.mark.parametrize("arg", [
+    "--fraction=5/0",
+    "--fraction=0/0",
+    f"--fraction=3/{HUGE}",
+    f"--fraction={HUGE}/2",
+    f"--cf=[2,{HUGE}]",
+    f"--i1=2;{HUGE}",
+    f"--i1={HUGE}0;1",
+])
+def test_analyze_rejects_input_edges(capsys, arg):
+    assert cli.main(["analyze", arg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_verify_lists_every_failure_with_its_exception(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,7 +8,6 @@ from equibridge.diagrams import (
     build_lhat_diagram,
     build_plat_diagram,
     linking_number,
-    pd_code_text,
 )
 from equibridge.cli import random_presentation
 from equibridge.laurent import DomainError
@@ -71,20 +71,18 @@ def test_knot_diagram_validates():
     assert pd.crossing_count() == 2 + 2 + 4 + 2
 
 
-def test_pd_code_shape():
-    pd = build_plat_diagram([2, -2])
-    lines = pd_code_text(pd).strip().splitlines()
-    assert len(lines) == 4
-    edge_numbers = set()
-    for line in lines:
-        parts = line.split()
-        assert parts[0] == "X" and len(parts) == 5
-        edge_numbers.update(int(x) for x in parts[1:])
-    # every edge appears exactly twice among all crossing slots
-    assert edge_numbers == set(range(1, 9))
-
-
-def test_writhe_changes_with_mirror():
-    a = build_plat_diagram([3])
-    b = build_plat_diagram([-3])
-    assert a.writhe() == -b.writhe() != 0
+def test_every_edge_sits_in_exactly_two_crossing_slots():
+    rng = random.Random(23)
+    diagrams = [build_plat_diagram([2, -2])]
+    diagrams += [build_lhat_diagram(random_presentation(rng, max_n=3))
+                 for _ in range(20)]
+    for pd in diagrams:
+        slots = Counter()
+        for ci, c in enumerate(pd.crossings):
+            for name in ("nw", "ne", "se", "sw"):
+                eid = c.slot(name)
+                assert (ci, name) in (pd.edges[eid].a, pd.edges[eid].b)
+                slots[eid] += 1
+        assert set(slots) == set(pd.edges)
+        assert set(slots.values()) == {2}
+    assert len(diagrams[0].edges) == 8

@@ -1,3 +1,5 @@
+import random
+import time
 from math import gcd
 
 import pytest
@@ -79,9 +81,21 @@ def test_butterfly_fraction_examples():
     assert butterfly_fraction(parse_i1("2,-2;1,1")) == Frac.make(8, 5)
 
 
-def test_butterfly_numerator_even_nonzero():
-    import random
+def test_knot_fraction_of_300_pairs_is_fast():
+    rng = random.Random(36)
+    pres = I1Presentation(
+        tuple(rng.choice([-4, -2, 2, 4]) for _ in range(300)),
+        tuple(rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(300)),
+    )
+    start = time.perf_counter()
+    kf = knot_fraction(pres)
+    bf = butterfly_fraction(pres)
+    assert time.perf_counter() - start < 0.5
+    assert kf.p % 2 == 1 and bf.p % 2 == 0
+    assert knot_fraction(pres) is kf  # evaluated once per presentation
 
+
+def test_butterfly_numerator_even_nonzero():
     rng = random.Random(31)
     for _ in range(300):
         n = rng.randint(1, 4)

@@ -10,7 +10,6 @@ from equibridge.rationals import (
     eval_cf,
     even_cf,
     frac_parse,
-    neg_inverse_mod,
     schubert_classes,
     two_bridge_equiv,
 )
@@ -21,6 +20,20 @@ def test_eval_cf_examples():
     assert eval_cf([7]) == Frac.make(7, 1)
     for c in (-3, 1, 4):
         assert eval_cf([2, -2, -2, -2 * c, 0]) == eval_cf([2, -2, -2])
+
+
+def _eval_cf_stepwise(entries):
+    """The step-by-step projective evaluation a + 1/v, innermost first."""
+    v = Frac.make(entries[-1], 1)
+    for a in reversed(entries[:-1]):
+        v = v.reciprocal().plus_int(a)
+    return v
+
+
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=600)
+       | st.lists(st.sampled_from([-2, -1, 0, 1, 2]), min_size=1, max_size=12))
+def test_eval_cf_matches_stepwise_evaluation(entries):
+    assert eval_cf(entries) == _eval_cf_stepwise(entries)
 
 
 def test_eval_cf_projective_points():
@@ -55,25 +68,6 @@ def test_even_cf_round_trip_exhaustive():
             assert len(e.entries) % 2 == 0
             assert (e.q_even - q) % p == 0 and abs(e.q_even) < p
             assert eval_cf(e.entries) == Frac.make(p, e.q_even)
-
-
-def test_neg_inverse_mod_examples():
-    assert neg_inverse_mod(5, 2) == 2
-    assert neg_inverse_mod(3, 2) == 1
-    for p in (3, 5, 7, 11, 45):
-        assert neg_inverse_mod(p, 1) == p - 1
-    with pytest.raises(DomainError):
-        neg_inverse_mod(9, 3)
-
-
-def test_neg_inverse_mod_property():
-    for p in range(2, 60):
-        for q in range(1, p):
-            if gcd(p, q) != 1:
-                continue
-            r = neg_inverse_mod(p, q)
-            assert 1 <= r <= p - 1
-            assert (q * r + 1) % p == 0
 
 
 def test_two_bridge_equiv_examples():

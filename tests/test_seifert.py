@@ -1,4 +1,6 @@
 import random
+import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +11,7 @@ from equibridge.laurent import DomainError, InvariantViolation, zp_parse
 from equibridge.presentations import butterfly_fraction, knot_fraction
 from equibridge.seifert import (
     _bareiss_det,
+    _check_connected,
     _interp_poly,
     conway_polynomial,
     determinant,
@@ -133,6 +136,23 @@ def test_split_diagram_rejected():
     pd = build_plat_diagram([0])  # two crossingless loops
     with pytest.raises(DomainError):
         seifert_matrix_data(pd)
+
+
+def _band(u, v):
+    return SimpleNamespace(ends=((u, "nw"), (v, "se")))
+
+
+def test_connectivity_check_on_a_chain_of_circles_is_fast():
+    # Joining circle i to i + 1 in order builds one long parent chain.
+    pd = SimpleNamespace(free_loops=[], crossings=[None])
+    s = 20000
+    circles = [None] * s
+    start = time.perf_counter()
+    _check_connected(pd, circles, [_band(i, i + 1) for i in range(s - 1)])
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(DomainError):
+        _check_connected(pd, circles,
+                         [_band(i, i + 1) for i in range(s - 1) if i != s // 2])
 
 
 def test_hopf_z_coefficient_is_linking_number():
