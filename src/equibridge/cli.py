@@ -12,7 +12,15 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .laurent import DomainError, InvariantViolation, lp_to_str, zp_to_str, lp_is_eta_admissible
+from .laurent import (
+    DomainError,
+    InvariantViolation,
+    lp_is_eta_admissible,
+    lp_to_str,
+    rf_make,
+    z_to_t,
+    zp_to_str,
+)
 from .rationals import frac_parse, cf_parse, schubert_classes
 from .presentations import (
     I1Presentation,
@@ -40,9 +48,9 @@ SCHEMA_VERSION = 1
 def analyze_presentation(pres: I1Presentation) -> dict:
     """All invariants of one presentation; cross-checks re-asserted.
 
-    The diagram checks (knot and butterfly determinants against the
-    fractions, zero butterfly linking number, moth symmetry) run inside
-    `order_certificate` and the diagram builders.
+    The determinant, continuant and moth checks run inside
+    `order_certificate`; the butterfly diagram's builder checks its zero
+    linking number.
     """
     bp = butterfly_polynomial(pres)
     if not lp_is_eta_admissible(bp):
@@ -299,8 +307,12 @@ def cmd_verify(args) -> int:
                 == abs(butterfly_fraction(pres).p))
 
     def moth_check(pres):
+        # The certified moth against a gcd reduction of the same quotient.
         cert = order_certificate(pres)
-        return cert.verdict == "InfiniteOrder" and cert.moth.subs_inv_equal()
+        oracle = rf_make(z_to_t(cert.conway_lhat.divide_by_z()),
+                         z_to_t(cert.conway_knot))
+        return (cert.verdict == "InfiniteOrder" and cert.moth == oracle
+                and oracle.subs_inv_equal())
 
     s = args.samples
     suite("oracle equivalence", s, lambda: random_presentation(rng), oracle_check)

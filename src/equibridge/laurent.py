@@ -366,7 +366,8 @@ class RationalFn:
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly):
-        # Use rf_make; this constructor trusts its arguments.
+        # Use rf_make or moth.certified_moth; this constructor trusts its
+        # arguments.
         self.num = num
         self.den = den
 

@@ -10,12 +10,14 @@ butterfly link's determinant is, which the 2-bridge arithmetic guarantees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .laurent import InvariantViolation, RationalFn, ZPoly, rf_make, z_to_t
-from .diagrams import OrientedPD, build_knot_diagram, build_lhat_diagram
+from math import gcd
+
+from .laurent import InvariantViolation, LaurentPoly, RationalFn, ZPoly
+from .diagrams import build_lhat_diagram
 from .presentations import (
     I1Presentation,
     butterfly_fraction,
-    conway_continuant,
+    continuant_matrix,
     knot_fraction,
 )
 from .rationals import Frac
@@ -25,27 +27,94 @@ INFINITE_ORDER = "InfiniteOrder"
 INCONCLUSIVE = "Inconclusive"
 
 
-def _moth_from_conways(n: ZPoly, d: ZPoly) -> RationalFn:
-    """nabla(L-hat)(z) / (z * nabla(K)(z)) as a rational function of t."""
-    if not n.odd_only():
-        raise InvariantViolation("butterfly-link Conway polynomial is not odd")
-    if not d.even_only():
-        raise InvariantViolation("knot Conway polynomial is not even")
-    reduced = n.divide_by_z()
-    if reduced.coeff(0) != 0:
-        # The z coefficient of n is the linking number, which must vanish.
+def _trim(p: list[int]) -> list[int]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _in_w(p: list[int], odd: int, what: str) -> list[int]:
+    """Coefficients in w = z^2 of p (odd = 0) or of p/z (odd = 1), trimmed;
+    p must have only terms of that parity."""
+    if any(p[1 - odd::2]):
+        raise InvariantViolation(f"{what} is not {'odd' if odd else 'even'}")
+    return _trim(p[odd::2])
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for k, x in enumerate(b):
+        out[k] -= x
+    return _trim(out)
+
+
+def _w_to_t(cs: list[int]) -> list[int]:
+    """Dense t-coefficients, from t^-D, of sum c_k w^k (D = len(cs) - 1)
+    with w = z^2 = -t + 2 - 1/t: Horner, each step a 3-term stencil."""
+    acc = [cs[-1]]
+    for c in reversed(cs[:-1]):
+        pad = [0, 0] + acc + [0, 0]
+        acc = [2 * pad[i + 1] - pad[i] - pad[i + 2] for i in range(len(acc) + 2)]
+        acc[len(acc) // 2] += c
+    return acc
+
+
+def certified_moth(lhat: list[int], knot: list[tuple[list[int], list[int]]],
+                   b: int) -> RationalFn:
+    """nabla(L-hat)(z) / (z * nabla(K)(z)) as a rational function of t, in
+    the canonical form of `rf_make`, with no gcd.
+
+    `lhat` is nabla(L-hat) and `knot` the `continuant_matrix` of the knot's
+    entries x1..xm, as dense z-lists; b is the balancing entry.  The matrix
+    has determinant 1 (m is even), so nabla(K) and K(x1..x(m-1)) are
+    coprime, and so are nabla(K) and nabla(L-hat) = (b/2) z nabla(K) -
+    K(x1..x(m-1)).  Both quotients are polynomials in w = z^2, hence stay
+    coprime in t, and only content, powers of t and sign are normalized.
+    """
+    (d, d_minus), (c, c_minus) = knot
+    d = _in_w(d, 0, "knot Conway polynomial")
+    d_minus = _in_w(d_minus, 1, "knot cofactor K(x1..x(m-1))")
+    c = _in_w(c, 1, "knot cofactor K(x2..xm)")
+    c_minus = _in_w(c_minus, 0, "knot cofactor K(x2..x(m-1))")
+    n = _in_w(lhat, 1, "butterfly-link Conway polynomial")
+    # d c_minus - z^2 (d_minus/z)(c/z), in w.
+    if _sub(_mul(d, c_minus), [0] + _mul(d_minus, c)) != [1]:
+        raise InvariantViolation("knot continuant matrix does not have determinant 1")
+    if _sub([b // 2 * x for x in d], d_minus) != n:
+        raise InvariantViolation(
+            "butterfly-link Conway polynomial is not (b/2) z nabla(K) - K(x1..x(m-1))")
+    if not n or n[0] != 0:
+        # The z coefficient of nabla(L-hat) is the linking number, which must vanish.
         raise InvariantViolation("butterfly-link Conway polynomial has a z term")
-    num = z_to_t(reduced)
-    den = z_to_t(d)
-    if den.value_at_one() == 0:
+    num, den = _w_to_t(n), _w_to_t(d)
+    if sum(den) == 0:
         raise InvariantViolation("knot Conway normalization lost")
-    fn = rf_make(num, den)
-    if not fn.subs_inv_equal():
+    joint = gcd(*num, *den)
+    if den[-1] < 0:
+        joint = -joint
+    num = [x // joint for x in num]
+    den = [x // joint for x in den]
+    # Each list runs from t^-D to t^D, D its degree in w, with non-zero
+    # ends; moving every power of t into the numerator leaves den a
+    # polynomial with den(0) != 0.
+    val = len(d) - len(n)
+    # den(1) != 0 rules out an anti-palindromic pair, so palindromes with
+    # 2 val = deg den - deg num (as polynomials) are exactly f(1/t) = f(t).
+    if num != num[::-1] or den != den[::-1] or 2 * val != len(den) - len(num):
         raise InvariantViolation("moth polynomial is not symmetric in t")
-    # den(1) != 0 survives the reduction, so the value at 1 is num(1)/den(1).
-    if fn.num.value_at_one() != 0:
+    if sum(num) != 0:
         raise InvariantViolation("moth polynomial does not vanish at 1")
-    return fn
+    return RationalFn(LaurentPoly(dict(enumerate(num, val))),
+                      LaurentPoly(dict(enumerate(den))))
 
 
 @dataclass(frozen=True)
@@ -89,28 +158,26 @@ def order_certificate(pres: I1Presentation) -> OrderCertificate:
     determinant |Delta(-1)| of the butterfly link equals the butterfly
     fraction's numerator size and already forces its Conway polynomial to
     be non-zero; the full polynomial is carried as supporting data.  Each
-    diagram and its Seifert matrix is built once, only for the determinants,
-    which must agree with the fractions and with the Conway polynomials.
+    determinant is |p| of its fraction, checked against |nabla(2i)|; the
+    butterfly link's is also det(V + V^T) of its diagram's Seifert matrix,
+    the one geometric check of the band move.  The moth is `certified_moth`.
     """
-    n = conway_continuant(pres.butterfly_cf(), -1)
-    d = conway_continuant(pres.knot_cf(), 1)
-    det = _checked_determinant("butterfly", build_lhat_diagram(pres),
-                               butterfly_fraction(pres), n)
-    det_knot = _checked_determinant("knot", build_knot_diagram(pres),
-                                    knot_fraction(pres), d)
-    return certificate_from_invariants(n, det, _moth_from_conways(n, d),
+    knot = continuant_matrix(pres.knot_cf(), 1)
+    lhat = continuant_matrix(pres.butterfly_cf(), -1)[0][0]
+    n, d = ZPoly(dict(enumerate(lhat))), ZPoly(dict(enumerate(knot[0][0])))
+    det = _checked_determinant("butterfly", butterfly_fraction(pres), n)
+    surface = determinant(seifert_matrix_data(build_lhat_diagram(pres)))
+    if surface != det:
+        raise InvariantViolation(
+            f"butterfly determinant {surface} != fraction numerator {det}")
+    det_knot = _checked_determinant("knot", knot_fraction(pres), d)
+    return certificate_from_invariants(n, det, certified_moth(lhat, knot, pres.b),
                                        d, det_knot)
 
 
-def _checked_determinant(name: str, pd: OrientedPD, fraction: Frac,
-                         nabla: ZPoly) -> int:
-    """|det(V + V^T)| of the diagram, equal to |p| of its fraction and to
-    |nabla(2i)|."""
-    det = determinant(seifert_matrix_data(pd))
-    if det != abs(fraction.p):
-        raise InvariantViolation(
-            f"{name} determinant {det} != fraction numerator {abs(fraction.p)}"
-        )
+def _checked_determinant(name: str, fraction: Frac, nabla: ZPoly) -> int:
+    """|p| of the fraction, equal to |nabla(2i)|."""
+    det = abs(fraction.p)
     if det != _det_from_conway(nabla):
         raise InvariantViolation(
             f"{name} determinant and Conway polynomial disagree"

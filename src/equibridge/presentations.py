@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .laurent import DomainError, InvariantViolation, ZPoly
-from .rationals import Frac, EvenCF, eval_cf, even_cf, two_bridge_equiv
+from .rationals import Frac, EvenCF, _int_field, eval_cf, even_cf, two_bridge_equiv
 
 
 class ParseError(DomainError):
@@ -108,10 +108,12 @@ def parse_i1(text: str) -> I1Presentation:
         raise ParseError("expected ';' separating alphas from cs")
     a_part, c_part = body.split(";", 1)
     try:
-        alphas = tuple(int(tok) for tok in a_part.split(",") if tok.strip() != "")
-        cs = tuple(int(tok) for tok in c_part.split(",") if tok.strip() != "")
-    except ValueError as exc:
-        raise ParseError(f"non-integer entry in {text!r}") from exc
+        alphas = tuple(_int_field(tok, f"alpha[{i}]")
+                       for i, tok in enumerate(a_part.split(","), start=1))
+        cs = tuple(_int_field(tok, f"c[{i}]")
+                   for i, tok in enumerate(c_part.split(","), start=1))
+    except DomainError as exc:
+        raise ParseError(str(exc)) from None
     return I1Presentation(alphas, cs)
 
 
@@ -128,24 +130,40 @@ def butterfly_fraction(pres: I1Presentation) -> Frac:
     return pres.butterfly_fraction
 
 
+def continuant_matrix(entries: Sequence[int], sign: int) -> list[tuple[list[int], list[int]]]:
+    """The product of [[x_i, 1], [1, 0]] over the entries of an even
+    continued fraction, x_i = +-(e_i/2)*z as in `conway_continuant`.
+
+    Each entry is a dense z-coefficient list, low to high.  The first row
+    is (K(x1..xm), K(x1..x(m-1))), the second (K(x2..xm), K(x2..x(m-1))).
+    The determinant is (-1)^m, so consecutive continuants are coprime
+    (Graham-Knuth-Patashnik, Concrete Mathematics, 6.7).  Each row runs
+    the recurrence (K_i, K_(i-1)) = (x_i K_(i-1) + K_(i-2), K_(i-1)).
+    """
+    rows = [([1], [0]), ([0], [1])]
+    for i, e in enumerate(entries):
+        if e % 2:
+            raise DomainError(f"continued-fraction entry {e} is odd")
+        h = (sign if i % 2 == 0 else -sign) * (e // 2)
+        stepped = []
+        for cur, prev in rows:
+            nxt = [0] + [h * c for c in cur]
+            for k, c in enumerate(prev):
+                nxt[k] += c
+            stepped.append((nxt, cur))
+        rows = stepped
+    return rows
+
+
 def conway_continuant(entries: Sequence[int], sign: int) -> ZPoly:
     """Conway polynomial of the 2-bridge link of an even continued fraction.
 
     It is the continuant K(sign*e1*z/2, -sign*e2*z/2, sign*e3*z/2, ...)
     (Koseleff-Pecker, J. Symbolic Comput. 2015): sign +1 for a knot's
-    fraction, -1 for the band-coherently oriented butterfly link.  The
-    recurrence K_i = x_i K_(i-1) + K_(i-2) runs on dense coefficient lists.
+    fraction, -1 for the band-coherently oriented butterfly link.  It is
+    the top-left entry of `continuant_matrix`.
     """
-    prev, cur = [0], [1]
-    for i, e in enumerate(entries):
-        if e % 2:
-            raise DomainError(f"continued-fraction entry {e} is odd")
-        h = (sign if i % 2 == 0 else -sign) * (e // 2)
-        nxt = [0] + [h * c for c in cur]
-        for k, c in enumerate(prev):
-            nxt[k] += c
-        prev, cur = cur, nxt
-    return ZPoly(dict(enumerate(cur)))
+    return ZPoly(dict(enumerate(continuant_matrix(entries, sign)[0][0])))
 
 
 @dataclass(frozen=True)

@@ -58,12 +58,26 @@ class Frac:
         return f"{self.p}/{self.q}"
 
 
+def _int_field(token: str, name: str) -> int:
+    """int(token), or a DomainError naming the field when it is empty or
+    not an integer."""
+    body = token.strip()
+    if not body:
+        raise DomainError(f"{name} is empty")
+    try:
+        return int(body)
+    except ValueError:
+        shown = body if len(body) <= 20 else body[:20] + "..."
+        raise DomainError(f"{name} is not an integer: {shown!r}") from None
+
+
 def frac_parse(text: str) -> Frac:
     body = text.strip()
     if "/" in body:
         ps, qs = body.split("/", 1)
-        return Frac.make(int(ps), int(qs))
-    return Frac.make(int(body), 1)
+        return Frac.make(_int_field(ps, "numerator"),
+                         _int_field(qs, "denominator"))
+    return Frac.make(_int_field(body, "fraction"), 1)
 
 
 def eval_cf(entries: Sequence[int]) -> Frac:
@@ -85,7 +99,8 @@ def cf_parse(text: str) -> list[int]:
         body = body[1:-1]
     if not body.strip():
         raise DomainError("empty continued fraction")
-    return [int(tok) for tok in body.split(",")]
+    return [_int_field(tok, f"continued-fraction entry {i}")
+            for i, tok in enumerate(body.split(","), start=1)]
 
 
 @dataclass(frozen=True)

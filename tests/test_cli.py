@@ -74,13 +74,17 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_each_diagram_and_seifert_matrix_built_once(monkeypatch):
+    # Only the butterfly link keeps a diagram on the analyze path; the
+    # knot's determinant is continued-fraction arithmetic.
     analyzed = count_calls(monkeypatch, cli, "analyze_presentation")
     surfaces = count_calls(monkeypatch, seifert, "seifert_matrix_data")
     plats = count_calls(monkeypatch, diagrams, "build_plat_diagram")
+    knots = count_calls(monkeypatch, diagrams, "build_knot_diagram")
     report = knot_report(fraction="17/12")
     assert len(report["inversions"]) == len(analyzed) == 2
-    assert len(surfaces) == 2 * len(analyzed)
-    assert len(plats) == 2 * len(analyzed)
+    assert len(surfaces) == len(analyzed)
+    assert len(plats) == len(analyzed)
+    assert knots == []
 
 
 def test_i1_input_equal_to_an_inversion_analyzed_once(monkeypatch):
@@ -123,6 +127,17 @@ def test_table_report_bytes_are_pinned(tmp_path):
 
 HUGE = "7" * 4301  # over Python's default limit on integer digit strings
 
+# Malformed fields, each named in the one error line.
+FIELD_ERRORS = {
+    "--i1=2,,4;1,1": "alpha[2] is empty",
+    "--i1=2,4;1,,1": "c[2] is empty",
+    "--i1=2;1,": "c[2] is empty",
+    "--i1=2,x;1,1": "alpha[2] is not an integer: 'x'",
+    "--cf=2,,-2": "continued-fraction entry 2 is empty",
+    "--fraction=5/": "denominator is empty",
+    "--fraction=/3": "numerator is empty",
+}
+
 
 @pytest.mark.parametrize("arg", [
     "--fraction=5/0",
@@ -132,6 +147,7 @@ HUGE = "7" * 4301  # over Python's default limit on integer digit strings
     f"--cf=[2,{HUGE}]",
     f"--i1=2;{HUGE}",
     f"--i1={HUGE}0;1",
+    *FIELD_ERRORS,
 ])
 def test_analyze_rejects_input_edges(capsys, arg):
     assert cli.main(["analyze", arg]) == 2
@@ -139,6 +155,8 @@ def test_analyze_rejects_input_edges(capsys, arg):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    if arg in FIELD_ERRORS:
+        assert lines[0] == f"error: {FIELD_ERRORS[arg]}"
 
 
 def test_verify_lists_every_failure_with_its_exception(monkeypatch, capsys):

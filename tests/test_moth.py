@@ -2,12 +2,14 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equibridge import cli, moth
 from equibridge.laurent import (
     InvariantViolation,
     lp_parse,
     rf_make,
+    z_to_t,
     zp_parse,
     ZPoly,
 )
@@ -21,9 +23,13 @@ from equibridge.moth import (
 from equibridge.presentations import (
     I1Presentation,
     butterfly_fraction,
+    continuant_matrix,
+    conway_continuant,
+    inversions_from_fraction,
     knot_fraction,
     parse_i1,
 )
+from equibridge.rationals import schubert_classes
 from equibridge.butterfly import butterfly_polynomial
 from equibridge.cli import random_presentation
 
@@ -119,19 +125,93 @@ def test_det_from_conway_reads_both_parities():
         moth._det_from_conway(zp_parse("1 + z"))
 
 
+def _patch_continuant(monkeypatch, sign, row, col, extra):
+    """Make moth's `continuant_matrix` add `extra` ({z power: coefficient})
+    to one entry of the matrix for the given sign."""
+    real = moth.continuant_matrix
+
+    def wrong(entries, s):
+        rows = real(entries, s)
+        if s == sign:
+            entry = rows[row][col]
+            entry += [0] * (max(extra) + 1 - len(entry))
+            for e, c in extra.items():
+                entry[e] += c
+        return rows
+
+    monkeypatch.setattr(moth, "continuant_matrix", wrong)
+
+
 @pytest.mark.parametrize("sign, name, extra", [(1, "knot", {2: 2}),
                                                (-1, "butterfly", {3: 2})])
 def test_wrong_conway_polynomial_fails_the_determinant_check(
         monkeypatch, capsys, sign, name, extra):
-    real = moth.conway_continuant
-
-    def wrong(entries, s):
-        nabla = real(entries, s)
-        return nabla + ZPoly(extra) if s == sign else nabla
-
-    monkeypatch.setattr(moth, "conway_continuant", wrong)
+    _patch_continuant(monkeypatch, sign, 0, 0, extra)
     message = f"{name} determinant and Conway polynomial disagree"
     with pytest.raises(InvariantViolation, match=message):
         order_certificate(parse_i1("2;1"))
     assert cli.main(["analyze", "--fraction", "3/2"]) == 3
     assert capsys.readouterr().err == f"error: internal check failed: {message}\n"
+
+
+@pytest.mark.parametrize("sign, row, col, extra, message", [
+    # a wrong cofactor of the knot's continuant matrix
+    (1, 1, 0, {1: 2}, "knot continuant matrix does not have determinant 1"),
+    (1, 1, 1, {2: 1}, "knot continuant matrix does not have determinant 1"),
+    # 4 z^3 + z^5 vanishes at z = 2i, so the determinant checks still pass
+    (-1, 0, 0, {3: 4, 5: 1},
+     "butterfly-link Conway polynomial is not (b/2) z nabla(K) - K(x1..x(m-1))"),
+])
+def test_wrong_cofactor_or_continuant_fails_the_moth_certificate(
+        monkeypatch, capsys, sign, row, col, extra, message):
+    _patch_continuant(monkeypatch, sign, row, col, extra)
+    with pytest.raises(InvariantViolation) as caught:
+        order_certificate(parse_i1("2;1"))
+    assert str(caught.value) == message
+    assert cli.main(["analyze", "--fraction", "3/2"]) == 3
+    assert capsys.readouterr().err == f"error: internal check failed: {message}\n"
+
+
+def _certified(pres):
+    return moth.certified_moth(continuant_matrix(pres.butterfly_cf(), -1)[0][0],
+                               continuant_matrix(pres.knot_cf(), 1), pres.b)
+
+
+def _gcd_reduced(pres):
+    """The oracle: the same quotient through z_to_t and the Z[t] gcd."""
+    lhat = conway_continuant(pres.butterfly_cf(), -1)
+    knot = conway_continuant(pres.knot_cf(), 1)
+    return rf_make(z_to_t(lhat.divide_by_z()), z_to_t(knot))
+
+
+def test_certified_moth_matches_the_gcd_reduction_up_to_p_101():
+    count = 0
+    for p, q in schubert_classes(101):
+        pair = inversions_from_fraction(p, q)
+        for pres in (pair.inv1, pair.inv2):
+            if pres is not None:
+                assert _certified(pres) == _gcd_reduced(pres), pres
+                count += 1
+    assert count == 1546
+
+
+long_twist_data = st.integers(1, 60).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from([-6, -4, -2, 2, 4, 6]), min_size=n, max_size=n),
+    st.lists(st.integers(-3, 3).filter(bool), min_size=n, max_size=n),
+))
+
+
+@settings(max_examples=20, deadline=None)
+@given(long_twist_data)
+def test_certified_moth_matches_the_gcd_reduction(data):
+    pres = I1Presentation(*map(tuple, data))
+    assert _certified(pres) == _gcd_reduced(pres)
+
+
+def test_certified_moth_of_200_pairs_is_fast():
+    pres = I1Presentation((2,) * 200, (1,) * 200)
+    start = time.perf_counter()
+    m = _certified(pres)
+    assert time.perf_counter() - start < 1
+    # nothing cancels: the denominator keeps all 2 * 200 roots of nabla(K)
+    assert m.den.degree() == 400 and m.den.valuation() == 0

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from equibridge.diagrams import build_knot_diagram, build_lhat_diagram
 from equibridge.laurent import DomainError, zp_parse
+from equibridge.moth import _det_from_conway
 from equibridge.presentations import (
     I1Presentation,
     ParseError,
@@ -17,7 +18,7 @@ from equibridge.presentations import (
     parse_i1,
 )
 from equibridge.rationals import Frac, schubert_classes, two_bridge_equiv
-from equibridge.seifert import conway_polynomial, seifert_matrix_data
+from equibridge.seifert import conway_polynomial, determinant, seifert_matrix_data
 
 
 def test_parse_and_derived_fields():
@@ -41,6 +42,8 @@ def test_parse_validation():
         parse_i1("2,4;1")  # length mismatch
     with pytest.raises(ParseError):
         parse_i1("2,4")  # no separator
+    with pytest.raises(ParseError, match=r"alpha\[2\] is empty"):
+        parse_i1("2,,4;1,1")  # empty field
 
 
 def test_round_trip_printing():
@@ -183,3 +186,14 @@ twist_data = st.integers(1, 6).flatmap(lambda n: st.tuples(
 def test_conway_continuant_matches_the_seifert_oracle(data):
     pres = I1Presentation(*map(tuple, data))
     assert _continuant_conways(pres) == _seifert_conways(pres)
+
+
+@settings(max_examples=25, deadline=None)
+@given(twist_data)
+def test_knot_surface_determinant_equals_the_arithmetic_routes(data):
+    """det(V + V^T) of the knot's plat diagram = |p| = |nabla(2i)| beyond
+    p <= 45; `analyze` itself no longer builds the knot's diagram."""
+    pres = I1Presentation(*map(tuple, data))
+    det = determinant(seifert_matrix_data(build_knot_diagram(pres)))
+    assert det == abs(knot_fraction(pres).p)
+    assert det == _det_from_conway(conway_continuant(pres.knot_cf(), 1))
