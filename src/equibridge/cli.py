@@ -309,8 +309,9 @@ def cmd_verify(args) -> int:
     def moth_check(pres):
         # The certified moth against a gcd reduction of the same quotient.
         cert = order_certificate(pres)
-        oracle = rf_make(z_to_t(cert.conway_lhat.divide_by_z()),
-                         z_to_t(cert.conway_knot))
+        if cert.conway_lhat[:1] != (0,):  # nabla(L-hat) must be divisible by z
+            return False
+        oracle = rf_make(z_to_t(cert.conway_lhat[1:]), z_to_t(cert.conway_knot))
         return (cert.verdict == "InfiniteOrder" and cert.moth == oracle
                 and oracle.subs_inv_equal())
 
@@ -345,10 +346,10 @@ def cmd_oracle_eta(args) -> int:
                 diagram = parse_strip(fh.read())
         else:
             diagram = build_strip(parse_i1(args.i1))
+        labeled = label_strip(diagram)
     except (DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    labeled = label_strip(diagram)
     print(print_strip(diagram), end="")
     print("labels:")
     for arc in diagram.arcs:

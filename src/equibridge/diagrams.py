@@ -15,7 +15,7 @@ the crossing sign is +1 exactly when A is on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence
+from typing import Optional, Sequence
 
 from .laurent import DomainError, InvariantViolation
 from .presentations import I1Presentation
@@ -50,9 +50,6 @@ class PDEdge:
     a: tuple[int, str]  # (crossing index, slot) where the path starts
     b: tuple[int, str]
     points: list[Point]
-
-
-OrientationPolicy = Literal["any", "band_coherent"]
 
 
 @dataclass
@@ -246,9 +243,7 @@ class _Builder:
             row -= 4
 
 
-def build_plat_diagram(
-    entries: Sequence[int], orient: OrientationPolicy = "any"
-) -> OrientedPD:
+def build_plat_diagram(entries: Sequence[int]) -> OrientedPD:
     """4-plat of a continued fraction: one twist region per entry.
 
     Odd-position entries twist the middle strand pair, even-position entries
@@ -303,8 +298,6 @@ def build_plat_diagram(
     _trace_components(pd)
     if marker_pieces is not None and all(p in piece_home for p in marker_pieces):
         pd.final_marker = (piece_home[marker_pieces[0]], piece_home[marker_pieces[1]])
-    if orient == "band_coherent":
-        _orient_band_coherent(pd)
     return pd
 
 
@@ -421,7 +414,8 @@ def build_lhat_diagram(pres: I1Presentation) -> OrientedPD:
     orientation of the coherent band); the resulting 2-component diagram
     must have linking number 0.
     """
-    pd = build_plat_diagram(pres.butterfly_cf(), orient="band_coherent")
+    pd = build_plat_diagram(pres.butterfly_cf())
+    _orient_band_coherent(pd)
     if pd.component_count() != 2:
         raise InvariantViolation(f"butterfly plat of {pres} is not a 2-link")
     if linking_number(pd) != 0:

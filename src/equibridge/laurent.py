@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 class DomainError(ValueError):
@@ -40,9 +40,6 @@ class LaurentPoly:
     @classmethod
     def const(cls, n: int) -> "LaurentPoly":
         return cls({0: n})
-
-    def coeffs(self) -> dict[int, int]:
-        return dict(self._c)
 
     def coeff(self, e: int) -> int:
         return self._c.get(e, 0)
@@ -185,117 +182,43 @@ def lp_parse(text: str) -> LaurentPoly:
     return LaurentPoly(out)
 
 
-class ZPoly:
-    """Polynomial in the skein variable z with integer coefficients, exponents >= 0."""
-
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs: Mapping[int, int] | None = None):
-        c = _clean(coeffs) if coeffs else {}
-        if any(e < 0 for e in c):
-            raise DomainError("ZPoly exponents must be non-negative")
-        self._c = c
-
-    @classmethod
-    def zero(cls) -> "ZPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "ZPoly":
-        return cls({0: 1})
-
-    def coeffs(self) -> dict[int, int]:
-        return dict(self._c)
-
-    def coeff(self, e: int) -> int:
-        return self._c.get(e, 0)
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def support(self) -> list[int]:
-        return sorted(self._c)
-
-    def even_only(self) -> bool:
-        return all(e % 2 == 0 for e in self._c)
-
-    def odd_only(self) -> bool:
-        return all(e % 2 == 1 for e in self._c)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = ZPoly({0: other})
-        if not isinstance(other, ZPoly):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._c.items())))
-
-    def __add__(self, other: "ZPoly") -> "ZPoly":
-        out = dict(self._c)
-        for e, c in other._c.items():
-            out[e] = out.get(e, 0) + c
-        return ZPoly(out)
-
-    def __neg__(self) -> "ZPoly":
-        return ZPoly({e: -c for e, c in self._c.items()})
-
-    def __sub__(self, other: "ZPoly") -> "ZPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "ZPoly | int") -> "ZPoly":
-        if isinstance(other, int):
-            other = ZPoly({0: other})
-        out: dict[int, int] = {}
-        for e1, c1 in self._c.items():
-            for e2, c2 in other._c.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return ZPoly(out)
-
-    __rmul__ = __mul__
-
-    def divide_by_z(self) -> "ZPoly":
-        if 0 in self._c:
-            raise DomainError("not divisible by z: constant term present")
-        return ZPoly({e - 1: c for e, c in self._c.items()})
-
-    def __repr__(self) -> str:
-        return f"ZPoly({zp_to_str(self)!r})"
-
-    def __str__(self) -> str:
-        return zp_to_str(self)
+# A polynomial in the skein variable z: its integer coefficients, low to
+# high, with trailing zeros trimmed (the zero polynomial is ()).
+ZCoeffs = tuple[int, ...]
 
 
-def zp_to_str(p: ZPoly) -> str:
-    return lp_to_str(LaurentPoly(p.coeffs())).replace("t", "z")
+def zp_to_str(p: Sequence[int]) -> str:
+    """Render a polynomial in z, given as coefficients low to high."""
+    return lp_to_str(LaurentPoly(dict(enumerate(p)))).replace("t", "z")
 
 
-def zp_parse(text: str) -> ZPoly:
-    s = text.replace("z", "t")
-    f = lp_parse(s)
-    return ZPoly(f.coeffs())
+def zp_parse(text: str) -> ZCoeffs:
+    """Parse the rendering of zp_to_str into trimmed coefficients."""
+    f = lp_parse(text.replace("z", "t"))
+    if f.is_zero():
+        return ()
+    if f.valuation() < 0:
+        raise DomainError("negative power of z")
+    return tuple(f.coeff(e) for e in range(f.degree() + 1))
 
 
-def z_to_t(p: ZPoly) -> LaurentPoly:
-    """Rewrite an even polynomial in z as a Laurent polynomial in t.
+def z_to_t(p: Sequence[int]) -> LaurentPoly:
+    """Rewrite an even polynomial in z (coefficients low to high) as a
+    Laurent polynomial in t.
 
     The square of the skein variable satisfies z**2 = 2 - t - 1/t, so only
     even powers of z have an image.  Odd exponents are rejected rather than
     introducing half-integer powers of t.
     """
-    if not p.even_only():
+    if any(p[1::2]):
         raise DomainError("z_to_t requires even exponents only")
     zsq = LaurentPoly({0: 2, 1: -1, -1: -1})
     out = LaurentPoly.zero()
     power = LaurentPoly.const(1)
-    by_half: dict[int, int] = {e // 2: c for e, c in p.coeffs().items()}
-    k = 0
-    while by_half:
-        if k in by_half:
-            out = out + power * by_half.pop(k)
+    for c in p[0::2]:
+        if c:
+            out = out + power * c
         power = power * zsq
-        k += 1
     return out
 
 

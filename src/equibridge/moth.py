@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .laurent import InvariantViolation, LaurentPoly, RationalFn, ZPoly
+from .laurent import InvariantViolation, LaurentPoly, RationalFn, ZCoeffs
 from .diagrams import build_lhat_diagram
 from .presentations import (
     I1Presentation,
     butterfly_fraction,
     continuant_matrix,
+    continuant_row,
     knot_fraction,
 )
 from .rationals import Frac
@@ -33,12 +34,12 @@ def _trim(p: list[int]) -> list[int]:
     return p
 
 
-def _in_w(p: list[int], odd: int, what: str) -> list[int]:
+def _in_w(p: ZCoeffs, odd: int, what: str) -> list[int]:
     """Coefficients in w = z^2 of p (odd = 0) or of p/z (odd = 1), trimmed;
     p must have only terms of that parity."""
     if any(p[1 - odd::2]):
         raise InvariantViolation(f"{what} is not {'odd' if odd else 'even'}")
-    return _trim(p[odd::2])
+    return _trim(list(p[odd::2]))
 
 
 def _mul(a: list[int], b: list[int]) -> list[int]:
@@ -68,16 +69,15 @@ def _w_to_t(cs: list[int]) -> list[int]:
     return acc
 
 
-def certified_moth(lhat: list[int], knot: list[tuple[list[int], list[int]]],
+def certified_moth(lhat: ZCoeffs, knot: tuple[tuple[ZCoeffs, ZCoeffs], ...],
                    b: int) -> RationalFn:
     """nabla(L-hat)(z) / (z * nabla(K)(z)) as a rational function of t, in
     the canonical form of `rf_make`, with no gcd.
 
     `lhat` is nabla(L-hat) and `knot` the `continuant_matrix` of the knot's
-    entries x1..xm, as dense z-lists; b is the balancing entry.  The matrix
-    has determinant 1 (m is even), so nabla(K) and K(x1..x(m-1)) are
-    coprime, and so are nabla(K) and nabla(L-hat) = (b/2) z nabla(K) -
-    K(x1..x(m-1)).  Both quotients are polynomials in w = z^2, hence stay
+    entries x1..xm; b is the balancing entry.  The matrix has determinant 1
+    (m is even), so nabla(K) and K(x1..x(m-1)) are coprime, and so are
+    nabla(K) and nabla(L-hat) = (b/2) z nabla(K) - K(x1..x(m-1)).  Both quotients are polynomials in w = z^2, hence stay
     coprime in t, and only content, powers of t and sign are normalized.
     """
     (d, d_minus), (c, c_minus) = knot
@@ -120,14 +120,14 @@ def certified_moth(lhat: list[int], knot: list[tuple[list[int], list[int]]],
 @dataclass(frozen=True)
 class OrderCertificate:
     verdict: str
-    conway_lhat: ZPoly
+    conway_lhat: ZCoeffs
     determinant_lhat: int
     moth: RationalFn
-    conway_knot: ZPoly  # carried for the report, not serialized here
+    conway_knot: ZCoeffs  # carried for the report, not serialized here
     determinant_knot: int
 
     def __post_init__(self):
-        if self.verdict == INFINITE_ORDER and self.conway_lhat.is_zero():
+        if self.verdict == INFINITE_ORDER and not self.conway_lhat:
             raise InvariantViolation("infinite-order verdict with zero witness")
 
     def to_json(self) -> dict:
@@ -143,10 +143,10 @@ class OrderCertificate:
 
 
 def certificate_from_invariants(
-    conway_lhat: ZPoly, det_lhat: int, moth: RationalFn,
-    conway_knot: ZPoly, det_knot: int,
+    conway_lhat: ZCoeffs, det_lhat: int, moth: RationalFn,
+    conway_knot: ZCoeffs, det_knot: int,
 ) -> OrderCertificate:
-    verdict = INFINITE_ORDER if not conway_lhat.is_zero() else INCONCLUSIVE
+    verdict = INFINITE_ORDER if conway_lhat else INCONCLUSIVE
     return OrderCertificate(verdict, conway_lhat, det_lhat, moth,
                             conway_knot, det_knot)
 
@@ -163,19 +163,18 @@ def order_certificate(pres: I1Presentation) -> OrderCertificate:
     the one geometric check of the band move.  The moth is `certified_moth`.
     """
     knot = continuant_matrix(pres.knot_cf(), 1)
-    lhat = continuant_matrix(pres.butterfly_cf(), -1)[0][0]
-    n, d = ZPoly(dict(enumerate(lhat))), ZPoly(dict(enumerate(knot[0][0])))
-    det = _checked_determinant("butterfly", butterfly_fraction(pres), n)
+    lhat = continuant_row(pres.butterfly_cf(), -1)[0]
+    det = _checked_determinant("butterfly", butterfly_fraction(pres), lhat)
     surface = determinant(seifert_matrix_data(build_lhat_diagram(pres)))
     if surface != det:
         raise InvariantViolation(
             f"butterfly determinant {surface} != fraction numerator {det}")
-    det_knot = _checked_determinant("knot", knot_fraction(pres), d)
-    return certificate_from_invariants(n, det, certified_moth(lhat, knot, pres.b),
-                                       d, det_knot)
+    det_knot = _checked_determinant("knot", knot_fraction(pres), knot[0][0])
+    return certificate_from_invariants(lhat, det, certified_moth(lhat, knot, pres.b),
+                                       knot[0][0], det_knot)
 
 
-def _checked_determinant(name: str, fraction: Frac, nabla: ZPoly) -> int:
+def _checked_determinant(name: str, fraction: Frac, nabla: ZCoeffs) -> int:
     """|p| of the fraction, equal to |nabla(2i)|."""
     det = abs(fraction.p)
     if det != _det_from_conway(nabla):
@@ -185,14 +184,14 @@ def _checked_determinant(name: str, fraction: Frac, nabla: ZPoly) -> int:
     return det
 
 
-def _det_from_conway(nabla: ZPoly) -> int:
+def _det_from_conway(nabla: ZCoeffs) -> int:
     """|nabla at z = 2i|, computed exactly.
 
     (2i)^e = 2^e i^e is real for even e and imaginary for odd e, so the
     value of a polynomial of one parity is real or imaginary.
     """
     parts = [0, 0]
-    for e, c in nabla.coeffs().items():
+    for e, c in enumerate(nabla):
         parts[e % 2] += c * (1 if e % 4 < 2 else -1) * 2**e
     real, imag = parts
     if real and imag:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .laurent import DomainError, InvariantViolation, ZPoly
+from .laurent import DomainError, InvariantViolation, ZCoeffs
 from .rationals import Frac, EvenCF, _int_field, eval_cf, even_cf, two_bridge_equiv
 
 
@@ -130,40 +130,56 @@ def butterfly_fraction(pres: I1Presentation) -> Frac:
     return pres.butterfly_fraction
 
 
-def continuant_matrix(entries: Sequence[int], sign: int) -> list[tuple[list[int], list[int]]]:
-    """The product of [[x_i, 1], [1, 0]] over the entries of an even
-    continued fraction, x_i = +-(e_i/2)*z as in `conway_continuant`.
+def _trimmed(p: list[int]) -> ZCoeffs:
+    while p and p[-1] == 0:
+        p.pop()
+    return tuple(p)
 
-    Each entry is a dense z-coefficient list, low to high.  The first row
-    is (K(x1..xm), K(x1..x(m-1))), the second (K(x2..xm), K(x2..x(m-1))).
-    The determinant is (-1)^m, so consecutive continuants are coprime
-    (Graham-Knuth-Patashnik, Concrete Mathematics, 6.7).  Each row runs
-    the recurrence (K_i, K_(i-1)) = (x_i K_(i-1) + K_(i-2), K_(i-1)).
+
+def continuant_row(entries: Sequence[int], sign: int) -> tuple[ZCoeffs, ZCoeffs]:
+    """(K(x1..xm), K(x1..x(m-1))) for the entries of an even continued
+    fraction, x_i = sign*(e_i/2)*z at odd positions i and -sign*(e_i/2)*z
+    at even ones.
+
+    Both are `ZCoeffs`.  The loop runs the recurrence
+    (K_i, K_(i-1)) = (x_i K_(i-1) + K_(i-2), K_(i-1)) from (K_0, K_(-1)) = (1, 0).
     """
-    rows = [([1], [0]), ([0], [1])]
+    cur: list[int] = [1]
+    prev: list[int] = []
     for i, e in enumerate(entries):
         if e % 2:
             raise DomainError(f"continued-fraction entry {e} is odd")
         h = (sign if i % 2 == 0 else -sign) * (e // 2)
-        stepped = []
-        for cur, prev in rows:
-            nxt = [0] + [h * c for c in cur]
-            for k, c in enumerate(prev):
-                nxt[k] += c
-            stepped.append((nxt, cur))
-        rows = stepped
-    return rows
+        nxt = [0] + [h * c for c in cur]
+        for k, c in enumerate(prev):
+            nxt[k] += c
+        cur, prev = nxt, cur
+    return _trimmed(cur), _trimmed(prev)
 
 
-def conway_continuant(entries: Sequence[int], sign: int) -> ZPoly:
+def continuant_matrix(entries: Sequence[int],
+                      sign: int) -> tuple[tuple[ZCoeffs, ZCoeffs], ...]:
+    """The product of [[x_i, 1], [1, 0]] over the entries, x_i as in
+    `continuant_row`.
+
+    The first row is (K(x1..xm), K(x1..x(m-1))), the second
+    (K(x2..xm), K(x2..x(m-1))), the row of the entries after the first.
+    The determinant is (-1)^m, so consecutive continuants are coprime
+    (Graham-Knuth-Patashnik, Concrete Mathematics, 6.7).
+    """
+    if not entries:
+        return ((1,), ()), ((), (1,))  # the empty product
+    return continuant_row(entries, sign), continuant_row(entries[1:], -sign)
+
+
+def conway_continuant(entries: Sequence[int], sign: int) -> ZCoeffs:
     """Conway polynomial of the 2-bridge link of an even continued fraction.
 
     It is the continuant K(sign*e1*z/2, -sign*e2*z/2, sign*e3*z/2, ...)
     (Koseleff-Pecker, J. Symbolic Comput. 2015): sign +1 for a knot's
-    fraction, -1 for the band-coherently oriented butterfly link.  It is
-    the top-left entry of `continuant_matrix`.
+    fraction, -1 for the band-coherently oriented butterfly link.
     """
-    return ZPoly(dict(enumerate(continuant_matrix(entries, sign)[0][0])))
+    return continuant_row(entries, sign)[0]
 
 
 @dataclass(frozen=True)

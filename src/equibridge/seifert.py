@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .laurent import DomainError, InvariantViolation, LaurentPoly, ZPoly
+from .laurent import DomainError, InvariantViolation, LaurentPoly, ZCoeffs
 from .diagrams import OrientedPD, Point
 
 # Cyclic offsets of parallel strands where several cycles share one band:
@@ -442,7 +442,7 @@ def _interp_poly(points: list[tuple[int, int]]) -> list[int]:
     return out
 
 
-def conway_polynomial(data: SeifertData) -> ZPoly:
+def conway_polynomial(data: SeifertData) -> ZCoeffs:
     """The normalized skein polynomial det(1/x V - x V^T) with z = x - 1/x.
 
     An oracle: the production path reads Conway polynomials off the
@@ -456,7 +456,7 @@ def conway_polynomial(data: SeifertData) -> ZPoly:
     v = data.matrix
     g = data.rank
     if g == 0:
-        return ZPoly.one() if data.mu == 1 else ZPoly.zero()
+        return (1,) if data.mu == 1 else ()
     # P(w) = det(V - w V^T) has degree <= g; evaluate and interpolate.
     pts = []
     w = 0
@@ -479,14 +479,14 @@ def conway_polynomial(data: SeifertData) -> ZPoly:
         for _ in range(m_deg):
             sub = sub * zpow
         f = f - sub * c
-    nabla = ZPoly(acc)
+    nabla = tuple(acc.get(e, 0) for e in range(max(acc, default=-1) + 1))
     if data.mu == 1:
-        if not nabla.even_only():
+        if any(nabla[1::2]):
             raise InvariantViolation("knot Conway polynomial has odd terms")
-        if nabla.coeff(0) != 1:
+        if nabla[:1] != (1,):
             raise InvariantViolation("knot Conway polynomial not normalized")
     elif data.mu == 2:
-        if not nabla.odd_only():
+        if any(nabla[0::2]):
             raise InvariantViolation("2-link Conway polynomial has even terms")
     return nabla
 

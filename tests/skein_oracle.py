@@ -3,14 +3,17 @@
 Works directly on the crossing structure of a diagram (no Seifert surface),
 so it is an independent cross-check for the matrix pipeline.  Intended for
 small diagrams only; the recursion switches crossings toward a descending
-diagram and resolves along the way.
+diagram and resolves along the way.  It computes in `LaurentPoly` with the
+variable standing for z, and returns z-coefficients, low to high, trimmed.
 """
 from __future__ import annotations
 
 from equibridge.diagrams import OrientedPD
-from equibridge.laurent import ZPoly
+from equibridge.laurent import LaurentPoly
 
-Z = ZPoly({1: 1})
+Z = LaurentPoly({1: 1})
+ONE = LaurentPoly.const(1)
+ZERO = LaurentPoly.zero()
 
 
 def diagram_state(pd: OrientedPD):
@@ -97,15 +100,15 @@ def _drop(signs, over, ci):
     return s2, o2
 
 
-def _nabla(comps, signs, over) -> ZPoly:
+def _nabla(comps, signs, over) -> LaurentPoly:
     if _is_split(comps, signs):
-        return ZPoly.zero()
+        return ZERO
     if not signs:
-        return ZPoly.one() if len(comps) == 1 else ZPoly.zero()
+        return ONE if len(comps) == 1 else ZERO
     ci = _first_violation(comps, over)
     if ci is None:
         # Descending diagrams are unlinks.
-        return ZPoly.one() if len(comps) == 1 else ZPoly.zero()
+        return ONE if len(comps) == 1 else ZERO
     switched_over = dict(over)
     switched_over[ci] = "A" if over[ci] == "B" else "B"
     switched_signs = dict(signs)
@@ -119,6 +122,9 @@ def _nabla(comps, signs, over) -> ZPoly:
     return sw - Z * sm
 
 
-def skein_conway(pd: OrientedPD) -> ZPoly:
+def skein_conway(pd: OrientedPD) -> tuple[int, ...]:
     comps, signs, over = diagram_state(pd)
-    return _nabla(comps, signs, over)
+    nabla = _nabla(comps, signs, over)
+    if nabla.is_zero():
+        return ()
+    return tuple(nabla.coeff(e) for e in range(nabla.degree() + 1))

@@ -1,8 +1,11 @@
+import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -12,11 +15,19 @@ from equibridge.laurent import InvariantViolation
 from equibridge.rationals import schubert_classes
 
 
+# Child interpreters import the package from the same source tree as this
+# process, whether or not PYTHONPATH names it.
+SRC = str(Path(cli.__file__).resolve().parents[1])
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "equibridge.cli", *args],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -111,7 +122,7 @@ def test_import_leaves_fractions_out():
     code = ("import sys, equibridge.cli; "
             "print('fractions' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0 and proc.stdout == "False\n"
 
 
@@ -123,6 +134,45 @@ def test_table_report_bytes_are_pinned(tmp_path):
     assert len(data) == 86856
     assert hashlib.sha256(data).hexdigest() == (
         "c36a6f474388932de31abe360b7f430568de978ec9aaf70bf81df2703635daef")
+
+
+def test_table_csv_bytes_are_pinned(tmp_path):
+    out = tmp_path / "t25.csv"
+    assert cli.main(["table", "--max-p", "25", "--format", "csv",
+                     "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert len(data) == 12401
+    assert hashlib.sha256(data).hexdigest() == (
+        "5ff5dceed384eb36e461d4eb8e07877682fb7aac399260d6e0a73aa9d1175d79")
+
+
+@pytest.mark.parametrize("arg, digest", [
+    ("--fraction=7/2",
+     "e5741c59709bb633739c36b5b6c27dc99d7796fa6c7dcd3768d6a922df3e2d97"),
+    ("--i1=2,-2;1,1",  # b = 0: the butterfly entries end in 0
+     "5d1a87dcd7526184b3bb7b69ace773195efc4198f98a0a0f1ffad90bf4e286d2"),
+    ("--cf=[2,-2,4,-2]",
+     "2c43f34d3e183ef2d7f64e4e7ca2d3665dcdec5d07a6580c027921d6c4e424c5"),
+])
+def test_analyze_text_bytes_are_pinned(capsys, arg, digest):
+    assert cli.main(["analyze", arg, "--format", "text"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+def _analyze_json(capsys, arg):
+    assert cli.main(["analyze", arg, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_negative_denominator_is_the_negative_fraction(capsys):
+    """p/-q reads as -p/q: the two reports differ only in the input text."""
+    over_negative = _analyze_json(capsys, "--fraction=7/-2")
+    negative = _analyze_json(capsys, "--fraction=-7/2")
+    assert over_negative.pop("input") == {"kind": "fraction", "text": "7/-2"}
+    assert negative.pop("input") == {"kind": "fraction", "text": "-7/2"}
+    assert over_negative == negative
+    assert negative["fraction"] == "-7/2"
 
 
 HUGE = "7" * 4301  # over Python's default limit on integer digit strings
@@ -175,6 +225,23 @@ def test_verify_lists_every_failure_with_its_exception(monkeypatch, capsys):
                for line in moth)
     assert all(line.startswith("FAIL [b=0 reduction]: reproduce with: analyze --i1=")
                for line in reduction)
+
+
+def test_verify_moth_suite_fails_a_constant_term_in_nabla_lhat(monkeypatch, capsys):
+    """nabla(L-hat) must be divisible by z before the oracle divides it."""
+    real = cli.order_certificate
+
+    def with_constant_term(pres):
+        cert = real(pres)
+        return dataclasses.replace(cert, conway_lhat=(1,) + cert.conway_lhat[1:])
+
+    monkeypatch.setattr(cli, "order_certificate", with_constant_term)
+    assert cli.main(["verify", "--samples", "10", "--seed", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "moth properties: 0/1" in out
+    fails = [line for line in out if line.startswith("FAIL")]
+    assert len(fails) == 1
+    assert fails[0].startswith("FAIL [moth properties]: reproduce with: analyze --i1=")
 
 
 def test_internal_check_failure_exits_3(monkeypatch, capsys):
@@ -304,6 +371,26 @@ def test_oracle_eta_strip_file(tmp_path):
     code, out, _ = run_cli("oracle", "eta", "--strip", str(path))
     assert code == 0
     assert "eta = t^-2 - 2 + t^2" in out
+
+
+@pytest.mark.parametrize("text, message", [
+    ("slots 1\narc 1 top:1 bottom:1\nstart 1 fwd\n",
+     "label walk closes with net shift -1"),
+    # the strip of I1(2;1) plus an arc that its closed walk never reaches
+    ("slots 5\n"
+     "arc 1 top:1 top:2 rail\narc 2 bottom:2 top:3 box_1_arc\n"
+     "arc 3 bottom:3 bottom:4 final_return\narc 4 top:4 bottom:1 final_vertical\n"
+     "arc 5 top:5 bottom:5\n"
+     "cross 2 1 +1\ncross 2 1 +1\ncross 1 2 +1\ncross 4 1 -1\nstart 1 fwd\n",
+     "label walk does not visit every arc"),
+])
+def test_oracle_eta_strip_whose_label_walk_fails(tmp_path, capsys, text, message):
+    path = tmp_path / "s.strip"
+    path.write_text(text)
+    assert cli.main(["oracle", "eta", "--strip", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("args", [(), ("--i1", "2;1", "--strip", "s.strip")])

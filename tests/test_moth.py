@@ -11,7 +11,6 @@ from equibridge.laurent import (
     rf_make,
     z_to_t,
     zp_parse,
-    ZPoly,
 )
 from equibridge.moth import (
     INFINITE_ORDER,
@@ -63,7 +62,7 @@ def test_vanishing_family_still_infinite_order():
     assert butterfly_polynomial(pres).is_zero()
     cert = order_certificate(pres)
     assert cert.verdict == INFINITE_ORDER
-    assert not cert.conway_lhat.is_zero()
+    assert cert.conway_lhat
 
 
 def test_every_small_presentation_infinite_order():
@@ -78,14 +77,14 @@ def test_every_small_presentation_infinite_order():
 
 def test_inconclusive_branch_via_stub():
     moth = rf_make(lp_parse("0"), lp_parse("1"))
-    cert = certificate_from_invariants(ZPoly.zero(), 0, moth, ZPoly.one(), 1)
+    cert = certificate_from_invariants((), 0, moth, (1,), 1)
     assert cert.verdict == INCONCLUSIVE
 
 
 def test_certificate_invariant_guard():
     moth = rf_make(lp_parse("0"), lp_parse("1"))
     with pytest.raises(InvariantViolation):
-        OrderCertificate(INFINITE_ORDER, ZPoly.zero(), 0, moth, ZPoly.one(), 1)
+        OrderCertificate(INFINITE_ORDER, (), 0, moth, (1,), 1)
 
 
 def test_certificate_json_fields():
@@ -126,20 +125,34 @@ def test_det_from_conway_reads_both_parities():
 
 
 def _patch_continuant(monkeypatch, sign, row, col, extra):
-    """Make moth's `continuant_matrix` add `extra` ({z power: coefficient})
-    to one entry of the matrix for the given sign."""
-    real = moth.continuant_matrix
+    """Add `extra` ({z power: coefficient}) to one continuant that `moth`
+    reads: entry (row, col) of the knot's `continuant_matrix` (sign 1), or
+    entry col of the butterfly's `continuant_row` (sign -1, row 0)."""
+    def bumped(entry):
+        out = list(entry) + [0] * (max(extra) + 1 - len(entry))
+        for e, c in extra.items():
+            out[e] += c
+        return tuple(out)
 
-    def wrong(entries, s):
-        rows = real(entries, s)
-        if s == sign:
-            entry = rows[row][col]
-            entry += [0] * (max(extra) + 1 - len(entry))
-            for e, c in extra.items():
-                entry[e] += c
-        return rows
+    if sign == 1:
+        real_matrix = moth.continuant_matrix
 
-    monkeypatch.setattr(moth, "continuant_matrix", wrong)
+        def wrong_matrix(entries, s):
+            rows = [list(r) for r in real_matrix(entries, s)]
+            rows[row][col] = bumped(rows[row][col])
+            return rows
+
+        monkeypatch.setattr(moth, "continuant_matrix", wrong_matrix)
+    else:
+        assert row == 0
+        real_row = moth.continuant_row
+
+        def wrong_row(entries, s):
+            pair = list(real_row(entries, s))
+            pair[col] = bumped(pair[col])
+            return tuple(pair)
+
+        monkeypatch.setattr(moth, "continuant_row", wrong_row)
 
 
 @pytest.mark.parametrize("sign, name, extra", [(1, "knot", {2: 2}),
@@ -173,7 +186,7 @@ def test_wrong_cofactor_or_continuant_fails_the_moth_certificate(
 
 
 def _certified(pres):
-    return moth.certified_moth(continuant_matrix(pres.butterfly_cf(), -1)[0][0],
+    return moth.certified_moth(conway_continuant(pres.butterfly_cf(), -1),
                                continuant_matrix(pres.knot_cf(), 1), pres.b)
 
 
@@ -181,7 +194,8 @@ def _gcd_reduced(pres):
     """The oracle: the same quotient through z_to_t and the Z[t] gcd."""
     lhat = conway_continuant(pres.butterfly_cf(), -1)
     knot = conway_continuant(pres.knot_cf(), 1)
-    return rf_make(z_to_t(lhat.divide_by_z()), z_to_t(knot))
+    assert lhat[0] == 0
+    return rf_make(z_to_t(lhat[1:]), z_to_t(knot))
 
 
 def test_certified_moth_matches_the_gcd_reduction_up_to_p_101():

@@ -12,6 +12,8 @@ from equibridge.presentations import (
     I1Presentation,
     ParseError,
     butterfly_fraction,
+    continuant_matrix,
+    continuant_row,
     conway_continuant,
     inversions_from_fraction,
     knot_fraction,
@@ -147,8 +149,29 @@ def test_conway_continuant_examples():
     assert conway_continuant([2, -2], 1) == zp_parse("1 + z^2")  # trefoil
     assert conway_continuant([2, 2], 1) == zp_parse("1 - z^2")  # figure eight
     assert conway_continuant([2], -1) == zp_parse("-z")  # Hopf link
+    # b = 0: the butterfly entries of I1(2,-2;1,1) end in 0, so the last
+    # step of the recurrence leaves zeros above the top term
+    lhat = conway_continuant([2, -2, -2, -2, 0], -1)
+    assert lhat == zp_parse("z^3") and lhat[-1] != 0
     with pytest.raises(DomainError):
         conway_continuant([2, 3], 1)
+
+
+@given(st.lists(st.integers(-6, 6).map(lambda h: 2 * h), max_size=12),
+       st.sampled_from([1, -1]))
+def test_continuant_matrix_is_the_product_of_its_steps(entries, sign):
+    """At integer z, each entry of `continuant_matrix` is that entry of the
+    integer product of [[x_i, 1], [1, 0]]; every polynomial is trimmed."""
+    rows = continuant_matrix(entries, sign)
+    assert rows[0] == continuant_row(entries, sign)
+    assert all(not poly or poly[-1] for row in rows for poly in row)
+    for z in (-3, -1, 1, 2, 5):
+        product = [[1, 0], [0, 1]]
+        for i, e in enumerate(entries):
+            x = (sign if i % 2 == 0 else -sign) * (e // 2) * z
+            product = [[a * x + b, a] for a, b in product]
+        assert [[sum(c * z**k for k, c in enumerate(poly)) for poly in row]
+                for row in rows] == product
 
 
 def _continuant_conways(pres):

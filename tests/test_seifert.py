@@ -99,10 +99,10 @@ def test_conway_parity_and_normalization():
     for _ in range(40):
         pres = random_presentation(rng, max_n=3, max_alpha=6, max_c=3)
         nk = conway_polynomial(seifert_matrix_data(build_knot_diagram(pres)))
-        assert nk.even_only() and nk.coeff(0) == 1
+        assert not any(nk[1::2]) and nk[0] == 1
         nl = conway_polynomial(seifert_matrix_data(build_lhat_diagram(pres)))
-        assert nl.odd_only()
-        assert nl.coeff(1) == 0  # z coefficient equals the linking number
+        assert not any(nl[0::2])
+        assert nl[1] == 0  # z coefficient equals the linking number
 
 
 def test_determinant_equals_fraction_numerators():
@@ -161,7 +161,7 @@ def test_hopf_z_coefficient_is_linking_number():
     for entries in ([2], [-2]):
         pd = build_plat_diagram(entries)
         nab = conway_polynomial(seifert_matrix_data(pd))
-        assert nab.coeff(1) == linking_number(pd)
+        assert nab[1] == linking_number(pd)
 
 
 def test_alexander_values_of_small_knots():
@@ -220,7 +220,7 @@ def test_knot_determinant_equals_conway_at_minus_one():
         pres = random_presentation(rng, max_n=3, max_alpha=6, max_c=3)
         data = seifert_matrix_data(build_knot_diagram(pres))
         nab = conway_polynomial(data)
-        value = sum(c * (-4) ** (e // 2) for e, c in nab.coeffs().items())
+        value = sum(c * (-4) ** (e // 2) for e, c in enumerate(nab))
         assert abs(value) == determinant(data)
 
 
