@@ -6,19 +6,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .laurent import InvariantViolation, LaurentPoly
+from .laurent import InvariantViolation, TCoeffs, lp
 from .presentations import I1Presentation, butterfly_fraction, knot_fraction
 from .rationals import Frac, eval_cf
 
 
-def butterfly_polynomial(pres: I1Presentation) -> LaurentPoly:
+def butterfly_polynomial(pres: I1Presentation) -> TCoeffs:
     """Sum of c_i*(t^sigma_i + t^-sigma_i) minus the constant 2*sum(c_i)."""
-    out: dict[int, int] = {}
+    top = max(map(abs, pres.sigma))
+    out = [0] * (2 * top + 1)
     for c, s in zip(pres.cs, pres.sigma):
-        out[s] = out.get(s, 0) + c
-        out[-s] = out.get(-s, 0) + c
-    out[0] = out.get(0, 0) - 2 * sum(pres.cs)
-    return LaurentPoly(out)
+        out[top + s] += c
+        out[top - s] += c
+    out[top] -= 2 * sum(pres.cs)
+    return lp(-top, out)
 
 
 def axis_linking(pres: I1Presentation) -> tuple[int, int]:

@@ -18,6 +18,7 @@ from .laurent import (
     lp_is_eta_admissible,
     lp_to_str,
     rf_make,
+    subs_inv_equal,
     z_to_t,
     zp_to_str,
 )
@@ -63,6 +64,7 @@ def analyze_presentation(pres: I1Presentation) -> dict:
     kf = knot_fraction(pres)
     bf = butterfly_fraction(pres)
     order = order_certificate(pres)
+    order_json = order.to_json()
     return {
         "i1": str(pres),
         "knot_fraction": str(kf),
@@ -73,11 +75,8 @@ def analyze_presentation(pres: I1Presentation) -> dict:
         "nullity": nullity.to_json(),
         "conway_knot": zp_to_str(order.conway_knot),
         "determinant_knot": order.determinant_knot,
-        "order": order.to_json(),
-        "moth": {
-            "num": lp_to_str(order.moth.num),
-            "den": lp_to_str(order.moth.den),
-        },
+        "order": order_json,
+        "moth": {"num": order_json["moth_num"], "den": order_json["moth_den"]},
     }
 
 
@@ -198,22 +197,22 @@ def cmd_table(args) -> int:
     if args.parallel < 1:
         print("error: --parallel must be at least 1", file=sys.stderr)
         return 2
-    classes = schubert_classes(args.max_p)
-    # A forked pool starts every worker at once, so never ask for more
-    # workers than there are CPUs or classes.
-    workers = min(args.parallel, os.cpu_count() or 1, len(classes))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_class_report, classes))
-    else:
-        results = [_class_report(pq) for pq in classes]
-    results.sort(key=lambda t: (t[0], t[1]))
     try:
         out = open(args.out, "w") if args.out else sys.stdout
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 2
     try:
+        # Classes come in (p, q) order, and both loops below keep it.
+        classes = schubert_classes(args.max_p)
+        # A forked pool starts every worker at once, so never ask for more
+        # workers than there are CPUs or classes.
+        workers = min(args.parallel, os.cpu_count() or 1, len(classes))
+        if workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
+                results = list(ex.map(_class_report, classes))
+        else:
+            results = [_class_report(pq) for pq in classes]
         if args.format == "jsonl":
             for p, q, report in results:
                 record = {"p": p, "q": q, **report}
@@ -313,7 +312,7 @@ def cmd_verify(args) -> int:
             return False
         oracle = rf_make(z_to_t(cert.conway_lhat[1:]), z_to_t(cert.conway_knot))
         return (cert.verdict == "InfiniteOrder" and cert.moth == oracle
-                and oracle.subs_inv_equal())
+                and subs_inv_equal(oracle))
 
     s = args.samples
     suite("oracle equivalence", s, lambda: random_presentation(rng), oracle_check)

@@ -1,16 +1,19 @@
-"""Exact Laurent-polynomial and rational-function arithmetic in one variable.
+"""Exact Laurent polynomials in t and rational functions, as dense values.
 
-Coefficients are arbitrary-precision integers and every operation stays in
-the integers: the only evaluation is at t = 1, a coefficient sum, and
-rational functions are reduced in Z[t] by a primitive
-pseudo-remainder-sequence gcd and exact integer division.  No floating point
-anywhere.
+A polynomial in t is a `TCoeffs`: its valuation and its integer
+coefficients, low to high, with both ends non-zero; `lp` is the one
+normalizer.  The production path builds these values directly and renders
+them; there is no arithmetic on them here.  The oracles `z_to_t` and
+`rf_make` compute the moth a second way, and `subs_inv_equal` checks its
+symmetry, with their own small dense multiply and a primitive
+pseudo-remainder-sequence gcd in Z[t], so they share no code with
+`moth.certified_moth`.  No floating point anywhere.
 """
 from __future__ import annotations
 
 import re
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class DomainError(ValueError):
@@ -21,129 +24,61 @@ class InvariantViolation(RuntimeError):
     """An internal cross-check failed; signals a bug, not bad input."""
 
 
-def _clean(coeffs: Mapping[int, int]) -> dict[int, int]:
-    return {e: c for e, c in coeffs.items() if c != 0}
+class TCoeffs(NamedTuple):
+    """sum cs[i] * t^(val + i); cs has non-zero ends, and zero is (0, ())."""
+
+    val: int
+    cs: tuple[int, ...]
 
 
-class LaurentPoly:
-    """An element of Z[t, 1/t], stored as {exponent: coefficient}, zeros absent."""
+class RationalFn(NamedTuple):
+    """num / den in canonical form: den an ordinary polynomial with non-zero
+    constant term and positive leading coefficient, the pair coprime over
+    Q[t] with joint integer content 1."""
 
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs: Mapping[int, int] | None = None):
-        self._c = _clean(coeffs) if coeffs else {}
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def const(cls, n: int) -> "LaurentPoly":
-        return cls({0: n})
-
-    def coeff(self, e: int) -> int:
-        return self._c.get(e, 0)
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def support(self) -> list[int]:
-        return sorted(self._c)
-
-    def degree(self) -> int:
-        if not self._c:
-            raise DomainError("zero polynomial has no degree")
-        return max(self._c)
-
-    def valuation(self) -> int:
-        if not self._c:
-            raise DomainError("zero polynomial has no valuation")
-        return min(self._c)
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._c.items())))
-
-    def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
-        out = dict(self._c)
-        for e, c in other._c.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._c.items()})
-
-    def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other: int) -> "LaurentPoly":
-        return LaurentPoly.const(other) - self
-
-    def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
-        out: dict[int, int] = {}
-        for e1, c1 in self._c.items():
-            for e2, c2 in other._c.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
-
-    __rmul__ = __mul__
-
-    def subs_inv(self) -> "LaurentPoly":
-        """Substitute t -> 1/t, i.e. reverse all exponents."""
-        return LaurentPoly({-e: c for e, c in self._c.items()})
-
-    def value_at_one(self) -> int:
-        """f(1), the sum of the coefficients."""
-        return sum(self._c.values())
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({lp_to_str(self)!r})"
-
-    def __str__(self) -> str:
-        return lp_to_str(self)
+    num: TCoeffs
+    den: TCoeffs
 
 
-def lp_is_eta_admissible(f: LaurentPoly) -> bool:
+def lp(val: int, cs: Iterable[int]) -> TCoeffs:
+    """The polynomial sum cs[i] * t^(val + i), with both ends trimmed."""
+    cs = tuple(cs)
+    hi = len(cs)
+    while hi and not cs[hi - 1]:
+        hi -= 1
+    lo = 0
+    while lo < hi and not cs[lo]:
+        lo += 1
+    if lo == hi:
+        return TCoeffs(0, ())
+    return TCoeffs(val + lo, cs[lo:hi])
+
+
+def lp_is_eta_admissible(f: TCoeffs) -> bool:
     """True iff f(t) = f(1/t) and f(1) = 0."""
-    return f == f.subs_inv() and f.value_at_one() == 0
+    val, cs = f
+    return (cs == cs[::-1] and (not cs or 2 * val == 1 - len(cs))
+            and sum(cs) == 0)
 
 
-def lp_to_str(f: LaurentPoly) -> str:
-    """Render as sorted terms, e.g. 't^-1 - 2 + t'."""
-    if f.is_zero():
-        return "0"
+def lp_to_str(f: TCoeffs, var: str = "t") -> str:
+    """Render as terms in increasing degree, e.g. 't^-1 - 2 + t'."""
+    val, cs = f
     parts: list[str] = []
-    for e in f.support():
-        c = f.coeff(e)
+    for e, c in enumerate(cs, val):
+        if not c:
+            continue
         mag = abs(c)
         if e == 0:
             body = str(mag)
         else:
-            tpow = "t" if e == 1 else f"t^{e}"
+            tpow = var if e == 1 else f"{var}^{e}"
             body = tpow if mag == 1 else f"{mag}*{tpow}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return " ".join(parts) or "0"
 
 
 _TERM_RE = re.compile(
@@ -155,7 +90,7 @@ _TERM_RE = re.compile(
 )
 
 
-def lp_parse(text: str) -> LaurentPoly:
+def lp_parse(text: str) -> TCoeffs:
     """Parse the rendering produced by lp_to_str."""
     out: dict[int, int] = {}
     pos = 0
@@ -163,7 +98,7 @@ def lp_parse(text: str) -> LaurentPoly:
     if not s:
         raise DomainError("empty polynomial text")
     if s == "0":
-        return LaurentPoly.zero()
+        return TCoeffs(0, ())
     while pos < len(s):
         m = _TERM_RE.match(s, pos)
         if m is None:
@@ -179,7 +114,8 @@ def lp_parse(text: str) -> LaurentPoly:
         pos = m.end()
         while pos < len(s) and s[pos] == " ":
             pos += 1
-    return LaurentPoly(out)
+    lo = min(out)
+    return lp(lo, (out.get(e, 0) for e in range(lo, max(out) + 1)))
 
 
 # A polynomial in the skein variable z: its integer coefficients, low to
@@ -189,20 +125,27 @@ ZCoeffs = tuple[int, ...]
 
 def zp_to_str(p: Sequence[int]) -> str:
     """Render a polynomial in z, given as coefficients low to high."""
-    return lp_to_str(LaurentPoly(dict(enumerate(p)))).replace("t", "z")
+    return lp_to_str((0, p), "z")
 
 
 def zp_parse(text: str) -> ZCoeffs:
     """Parse the rendering of zp_to_str into trimmed coefficients."""
-    f = lp_parse(text.replace("z", "t"))
-    if f.is_zero():
-        return ()
-    if f.valuation() < 0:
+    val, cs = lp_parse(text.replace("z", "t"))
+    if val < 0:
         raise DomainError("negative power of z")
-    return tuple(f.coeff(e) for e in range(f.degree() + 1))
+    return (0,) * val + cs if cs else ()
 
 
-def z_to_t(p: Sequence[int]) -> LaurentPoly:
+def _pmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of dense coefficient lists, low to high."""
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def z_to_t(p: Sequence[int]) -> TCoeffs:
     """Rewrite an even polynomial in z (coefficients low to high) as a
     Laurent polynomial in t.
 
@@ -212,14 +155,24 @@ def z_to_t(p: Sequence[int]) -> LaurentPoly:
     """
     if any(p[1::2]):
         raise DomainError("z_to_t requires even exponents only")
-    zsq = LaurentPoly({0: 2, 1: -1, -1: -1})
-    out = LaurentPoly.zero()
-    power = LaurentPoly.const(1)
-    for c in p[0::2]:
-        if c:
-            out = out + power * c
-        power = power * zsq
-    return out
+    half = p[0::2]
+    top = len(half) - 1
+    out = [0] * (2 * top + 1)
+    power = [1]  # (z^2)^k, dense from t^-k
+    for k, c in enumerate(half):
+        for i, x in enumerate(power):
+            out[top - k + i] += c * x
+        power = _pmul(power, (-1, 2, -1))
+    return lp(-top, out)
+
+
+def subs_inv_equal(r: RationalFn) -> bool:
+    """True iff r(1/t) = r(t), that is num(1/t) den(t) = num(t) den(1/t)."""
+    (nv, n), (dv, d) = r
+    # f(1/t) has the coefficients of f reversed, from t^-(val + len - 1).
+    lhs = lp(dv - nv - len(n) + 1, _pmul(n[::-1], d))
+    rhs = lp(nv - dv - len(d) + 1, _pmul(n, d[::-1]))
+    return lhs == rhs
 
 
 def _pdivmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
@@ -265,71 +218,15 @@ def _poly_gcd_z(a: list[int], b: list[int]) -> list[int]:
     return _primitive(a)
 
 
-def _lp_to_dense(f: LaurentPoly) -> tuple[int, list[int]]:
-    """Return (valuation, dense coefficient list low-to-high), val 0 for zero."""
-    if f.is_zero():
-        return 0, []
-    v = f.valuation()
-    d = f.degree()
-    return v, [f.coeff(e) for e in range(v, d + 1)]
-
-
-def _dense_to_lp(val: int, dense: Iterable[int]) -> LaurentPoly:
-    return LaurentPoly({val + i: c for i, c in enumerate(dense)})
-
-
-class RationalFn:
-    """A quotient of Laurent polynomials in canonical form.
-
-    Canonical form: the denominator is an ordinary polynomial with non-zero
-    constant term, positive leading coefficient, and the pair (num, den) is
-    coprime over Q[t] with joint integer content 1.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly):
-        # Use rf_make or moth.certified_moth; this constructor trusts its
-        # arguments.
-        self.num = num
-        self.den = den
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = rf_make(LaurentPoly.const(other), LaurentPoly.const(1))
-        if not isinstance(other, RationalFn):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def subs_inv_equal(self) -> bool:
-        """True iff the function is invariant under t -> 1/t."""
-        lhs = self.num.subs_inv() * self.den
-        rhs = self.num * self.den.subs_inv()
-        return lhs == rhs
-
-    def __repr__(self) -> str:
-        return f"RationalFn({lp_to_str(self.num)!r}, {lp_to_str(self.den)!r})"
-
-    def __str__(self) -> str:
-        if self.den == LaurentPoly.const(1):
-            return lp_to_str(self.num)
-        return f"({lp_to_str(self.num)}) / ({lp_to_str(self.den)})"
-
-
-def rf_make(num: LaurentPoly, den: LaurentPoly) -> RationalFn:
-    """Build a RationalFn in canonical form; exact gcd reduction in Z[t]."""
-    if den.is_zero():
+def rf_make(num: TCoeffs, den: TCoeffs) -> RationalFn:
+    """num / den in canonical form, by exact gcd reduction in Z[t]; both
+    arguments must be normal, as `lp` returns them."""
+    (nv, ni), (dv, di) = num, den
+    if not di:
         raise DomainError("rational function with zero denominator")
-    if num.is_zero():
-        return RationalFn(LaurentPoly.zero(), LaurentPoly.const(1))
-    nv, ni = _lp_to_dense(num)
-    dv, di = _lp_to_dense(den)
+    if not ni:
+        return RationalFn(TCoeffs(0, ()), TCoeffs(0, (1,)))
+    ni, di = list(ni), list(di)
     g = _poly_gcd_z(ni, di)
     if len(g) > 1:
         # g is primitive, so by Gauss's lemma both quotients are integral.
@@ -338,15 +235,9 @@ def rf_make(num: LaurentPoly, den: LaurentPoly) -> RationalFn:
         if nr or dr or nk != 1 or dk != 1:
             raise InvariantViolation("gcd does not divide its arguments")
     joint = gcd(*ni, *di)
-    if joint > 1:
-        ni = [c // joint for c in ni]
-        di = [c // joint for c in di]
-    # Move all powers of t into the numerator: den gets constant term != 0.
-    na = next(i for i, c in enumerate(ni) if c != 0)
-    db = next(i for i, c in enumerate(di) if c != 0)
-    ni, di = ni[na:], di[db:]
-    num_val = (nv - dv) + na - db
     if di[-1] < 0:
-        ni = [-c for c in ni]
-        di = [-c for c in di]
-    return RationalFn(_dense_to_lp(num_val, ni), _dense_to_lp(0, di))
+        joint = -joint
+    # Both constant terms are non-zero, and stay so after dividing by g:
+    # every power of t goes into the numerator.
+    return RationalFn(TCoeffs(nv - dv, tuple(c // joint for c in ni)),
+                      TCoeffs(0, tuple(c // joint for c in di)))

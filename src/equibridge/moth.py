@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .laurent import InvariantViolation, LaurentPoly, RationalFn, ZCoeffs
+from .laurent import InvariantViolation, RationalFn, TCoeffs, ZCoeffs
 from .diagrams import build_lhat_diagram
 from .presentations import (
     I1Presentation,
@@ -113,8 +113,7 @@ def certified_moth(lhat: ZCoeffs, knot: tuple[tuple[ZCoeffs, ZCoeffs], ...],
         raise InvariantViolation("moth polynomial is not symmetric in t")
     if sum(num) != 0:
         raise InvariantViolation("moth polynomial does not vanish at 1")
-    return RationalFn(LaurentPoly(dict(enumerate(num, val))),
-                      LaurentPoly(dict(enumerate(den))))
+    return RationalFn(TCoeffs(val, tuple(num)), TCoeffs(0, tuple(den)))
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,10 @@ are settled exactly on the diagrams' integer polylines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional
 
-from .laurent import DomainError, InvariantViolation, LaurentPoly, ZCoeffs
+from .laurent import DomainError, InvariantViolation, ZCoeffs
 from .diagrams import OrientedPD, Point
 
 # Cyclic offsets of parallel strands where several cycles share one band:
@@ -465,21 +466,22 @@ def conway_polynomial(data: SeifertData) -> ZCoeffs:
         pts.append((w, _bareiss_det(m)))
         w = -w + (0 if w > 0 else 1)  # 0, 1, -1, 2, -2, ...
     p = _interp_poly(pts)
-    # nabla = x^(-g) P(x^2), rewritten in z = x - 1/x.
-    f = LaurentPoly({2 * k - g: c for k, c in enumerate(p)})
-    acc: dict[int, int] = {}
-    zpow = LaurentPoly({1: 1, -1: -1})
-    while not f.is_zero():
-        m_deg = f.degree()
-        if m_deg < 0:
-            raise InvariantViolation("Seifert determinant is not a z-polynomial")
-        c = f.coeff(m_deg)
-        acc[m_deg] = acc.get(m_deg, 0) + c
-        sub = LaurentPoly.const(1)
-        for _ in range(m_deg):
-            sub = sub * zpow
-        f = f - sub * c
-    nabla = tuple(acc.get(e, 0) for e in range(max(acc, default=-1) + 1))
+    # nabla = x^(-g) P(x^2), rewritten in z = x - 1/x by peeling off the
+    # top term: z^m = sum_j (-1)^j C(m, j) x^(m - 2j).  f[g + e] is the
+    # coefficient of x^e.
+    f = [0] * (2 * g + 1)
+    f[0::2] = p + [0] * (g + 1 - len(p))
+    acc = [0] * (g + 1)
+    for m in range(g, -1, -1):
+        c = acc[m] = f[g + m]
+        if c:
+            for j in range(m + 1):
+                f[g + m - 2 * j] -= (-1) ** j * comb(m, j) * c
+    if any(f):
+        raise InvariantViolation("Seifert determinant is not a z-polynomial")
+    while acc and acc[-1] == 0:
+        acc.pop()
+    nabla = tuple(acc)
     if data.mu == 1:
         if any(nabla[1::2]):
             raise InvariantViolation("knot Conway polynomial has odd terms")

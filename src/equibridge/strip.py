@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .laurent import DomainError, LaurentPoly
+from .laurent import DomainError, TCoeffs, lp
 from .presentations import I1Presentation
 
 TOP = "top"
@@ -153,14 +153,16 @@ def strip_census(ls: LabeledStrip) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def eta_from_strip(ls: LabeledStrip) -> LaurentPoly:
+def eta_from_strip(ls: LabeledStrip) -> TCoeffs:
     """Signed census of non-zero label differences, normalised to vanish at 1."""
-    acc: dict[int, int] = {}
-    for _, _, eps, d in strip_census(ls):
-        if d != 0:
-            acc[d] = acc.get(d, 0) + eps
-    bar = LaurentPoly(acc)
-    return bar - bar.value_at_one()
+    census = strip_census(ls)
+    top = max((abs(d) for *_, d in census), default=0)
+    out = [0] * (2 * top + 1)
+    for _, _, eps, d in census:
+        out[top + d] += eps
+    # Subtracting f(1) from the constant term overwrites the d = 0 terms.
+    out[top] -= sum(out)
+    return lp(-top, out)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +269,7 @@ def build_strip(pres: I1Presentation) -> StripDiagram:
     )
 
 
-def eta_oracle(pres: I1Presentation) -> LaurentPoly:
+def eta_oracle(pres: I1Presentation) -> TCoeffs:
     """Convenience: build, label, and sum."""
     return eta_from_strip(label_strip(build_strip(pres)))
 

@@ -3,17 +3,25 @@
 Works directly on the crossing structure of a diagram (no Seifert surface),
 so it is an independent cross-check for the matrix pipeline.  Intended for
 small diagrams only; the recursion switches crossings toward a descending
-diagram and resolves along the way.  It computes in `LaurentPoly` with the
-variable standing for z, and returns z-coefficients, low to high, trimmed.
+diagram and resolves along the way.  It computes on z-coefficient tuples,
+low to high, trimmed, and returns one.
 """
 from __future__ import annotations
 
 from equibridge.diagrams import OrientedPD
-from equibridge.laurent import LaurentPoly
 
-Z = LaurentPoly({1: 1})
-ONE = LaurentPoly.const(1)
-ZERO = LaurentPoly.zero()
+ONE = (1,)
+ZERO = ()
+
+
+def _plus_z_times(a, sign, b):
+    """a + sign * z * b, trimmed."""
+    out = list(a) + [0] * (len(b) + 1 - len(a))
+    for e, c in enumerate(b, 1):
+        out[e] += sign * c
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def diagram_state(pd: OrientedPD):
@@ -100,7 +108,7 @@ def _drop(signs, over, ci):
     return s2, o2
 
 
-def _nabla(comps, signs, over) -> LaurentPoly:
+def _nabla(comps, signs, over) -> tuple[int, ...]:
     if _is_split(comps, signs):
         return ZERO
     if not signs:
@@ -117,14 +125,9 @@ def _nabla(comps, signs, over) -> LaurentPoly:
     comps0 = _smooth(comps, ci)
     sw = _nabla(comps, switched_signs, switched_over)
     sm = _nabla(comps0, s0, o0)
-    if signs[ci] == 1:
-        return sw + Z * sm
-    return sw - Z * sm
+    return _plus_z_times(sw, signs[ci], sm)
 
 
 def skein_conway(pd: OrientedPD) -> tuple[int, ...]:
     comps, signs, over = diagram_state(pd)
-    nabla = _nabla(comps, signs, over)
-    if nabla.is_zero():
-        return ()
-    return tuple(nabla.coeff(e) for e in range(nabla.degree() + 1))
+    return _nabla(comps, signs, over)

@@ -343,6 +343,15 @@ def test_table_unwritable_path():
     assert code == 2
 
 
+def test_table_unwritable_path_analyzes_nothing(monkeypatch, capsys, tmp_path):
+    analyzed = []
+    monkeypatch.setattr(cli, "_class_report", analyzed.append)
+    out = tmp_path / "missing" / "x.jsonl"
+    assert cli.main(["table", "--max-p", "61", "--out", str(out)]) == 2
+    assert analyzed == []
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
 def test_verify_passes_and_is_seeded():
     code, out, _ = run_cli("verify", "--samples", "30", "--seed", "7")
     assert code == 0

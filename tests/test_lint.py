@@ -1,0 +1,47 @@
+"""Static check of the package source: no floating point anywhere.
+
+Every quantity is an integer or an exact fraction of integers, so the
+source may not divide with `/`, write a float literal, or name `float`,
+`Fraction` or `Decimal`.
+"""
+import ast
+from pathlib import Path
+
+import equibridge
+
+BANNED_NAMES = {"float", "Fraction", "Decimal"}
+
+
+def float_uses(source: str) -> list[str]:
+    """One line per use of floating point in `source`, with its line number."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        line = getattr(node, "lineno", "?")
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"{line}: true division")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(f"{line}: float literal {node.value!r}")
+        elif isinstance(node, ast.Name) and node.id in BANNED_NAMES:
+            found.append(f"{line}: name {node.id}")
+        elif isinstance(node, ast.Attribute) and node.attr in BANNED_NAMES:
+            found.append(f"{line}: attribute {node.attr}")
+        elif isinstance(node, ast.alias) and BANNED_NAMES & {
+                node.name.rsplit(".", 1)[-1], node.asname}:
+            found.append(f"{line}: import of {node.name}")
+    return found
+
+
+def test_package_source_has_no_floating_point():
+    files = sorted(Path(equibridge.__file__).parent.glob("*.py"))
+    assert len(files) >= 10
+    found = [f"{path.name}:{use}" for path in files
+             for use in float_uses(path.read_text())]
+    assert found == []
+
+
+def test_float_uses_catches_each_kind():
+    assert float_uses("x = 1 // 2\ny = '3/4'\nx //= 2\n") == []
+    for source in ("x = 1 / 2", "x = 4\nx /= 2", "x = 0.5", "x = float(1)",
+                   "import decimal\nx = decimal.Decimal(1)",
+                   "from fractions import Fraction", "from x import y as Fraction"):
+        assert float_uses(source), source

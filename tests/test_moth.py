@@ -9,6 +9,7 @@ from equibridge.laurent import (
     InvariantViolation,
     lp_parse,
     rf_make,
+    subs_inv_equal,
     z_to_t,
     zp_parse,
 )
@@ -44,8 +45,8 @@ def test_moth_symmetry_and_vanishing_at_one():
     rng = random.Random(51)
     for _ in range(40):
         m = order_certificate(random_presentation(rng, max_n=3, max_alpha=6, max_c=3)).moth
-        assert m.subs_inv_equal()
-        assert m.num.value_at_one() == 0 != m.den.value_at_one()
+        assert subs_inv_equal(m)
+        assert sum(m.num.cs) == 0 != sum(m.den.cs)
 
 
 def test_order_certificate_examples():
@@ -59,7 +60,7 @@ def test_order_certificate_examples():
 
 def test_vanishing_family_still_infinite_order():
     pres = parse_i1("2,-2,2,-2;1,1,-1,1")
-    assert butterfly_polynomial(pres).is_zero()
+    assert butterfly_polynomial(pres) == (0, ())
     cert = order_certificate(pres)
     assert cert.verdict == INFINITE_ORDER
     assert cert.conway_lhat
@@ -99,11 +100,7 @@ def test_moth_parts_are_palindromic():
     for _ in range(30):
         m = order_certificate(random_presentation(rng, max_n=3, max_alpha=6, max_c=3)).moth
         for poly in (m.num, m.den):
-            if poly.is_zero():
-                continue
-            lo, hi = poly.valuation(), poly.degree()
-            assert all(poly.coeff(lo + k) == poly.coeff(hi - k)
-                       for k in range(hi - lo + 1))
+            assert poly.cs == poly.cs[::-1]
 
 
 def test_order_certificate_of_40_pairs_is_fast():
@@ -228,4 +225,4 @@ def test_certified_moth_of_200_pairs_is_fast():
     m = _certified(pres)
     assert time.perf_counter() - start < 1
     # nothing cancels: the denominator keeps all 2 * 200 roots of nabla(K)
-    assert m.den.degree() == 400 and m.den.valuation() == 0
+    assert m.den.val == 0 and len(m.den.cs) == 401
