@@ -50,8 +50,10 @@ def analyze_presentation(pres: I1Presentation) -> dict:
     """All invariants of one presentation; cross-checks re-asserted.
 
     The determinant, continuant and moth checks run inside
-    `order_certificate`; the butterfly diagram's builder checks its zero
-    linking number.
+    `order_certificate`, which is arithmetic only.  The one geometric check
+    of the band move is a separate step here: det(V + V^T) of the butterfly
+    link's Seifert matrix must equal the fraction numerator |p''| as well.
+    The butterfly diagram's builder checks its zero linking number.
     """
     bp = butterfly_polynomial(pres)
     if not lp_is_eta_admissible(bp):
@@ -64,6 +66,10 @@ def analyze_presentation(pres: I1Presentation) -> dict:
     kf = knot_fraction(pres)
     bf = butterfly_fraction(pres)
     order = order_certificate(pres)
+    surface = determinant(seifert_matrix_data(build_lhat_diagram(pres)))
+    if surface != order.determinant_lhat:
+        raise InvariantViolation(f"butterfly determinant {surface} != "
+                                 f"fraction numerator {order.determinant_lhat}")
     order_json = order.to_json()
     return {
         "i1": str(pres),
@@ -234,10 +240,10 @@ def cmd_table(args) -> int:
 def random_presentation(rng: random.Random, max_n: int = 4,
                         max_alpha: int = 8, max_c: int = 4) -> I1Presentation:
     n = rng.randint(1, max_n)
-    alphas = tuple(rng.choice([a for a in range(-max_alpha, max_alpha + 1)
-                               if a != 0 and a % 2 == 0]) for _ in range(n))
-    cs = tuple(rng.choice([c for c in range(-max_c, max_c + 1) if c != 0])
-               for _ in range(n))
+    even = [a for a in range(-max_alpha, max_alpha + 1) if a != 0 and a % 2 == 0]
+    nonzero = [c for c in range(-max_c, max_c + 1) if c != 0]
+    alphas = tuple(rng.choice(even) for _ in range(n))
+    cs = tuple(rng.choice(nonzero) for _ in range(n))
     return I1Presentation(alphas, cs)
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .laurent import InvariantViolation, RationalFn, TCoeffs, ZCoeffs
-from .diagrams import build_lhat_diagram
 from .presentations import (
     I1Presentation,
     butterfly_fraction,
@@ -22,7 +21,6 @@ from .presentations import (
     knot_fraction,
 )
 from .rationals import Frac
-from .seifert import determinant, seifert_matrix_data
 
 INFINITE_ORDER = "InfiniteOrder"
 INCONCLUSIVE = "Inconclusive"
@@ -151,23 +149,20 @@ def certificate_from_invariants(
 
 
 def order_certificate(pres: I1Presentation) -> OrderCertificate:
-    """Infinite-order certificate, determinant route cross-checked.
+    """Infinite-order certificate, by continued-fraction arithmetic alone.
 
     Both Conway polynomials are continuants of the continued fractions.  The
     determinant |Delta(-1)| of the butterfly link equals the butterfly
     fraction's numerator size and already forces its Conway polynomial to
     be non-zero; the full polynomial is carried as supporting data.  Each
-    determinant is |p| of its fraction, checked against |nabla(2i)|; the
-    butterfly link's is also det(V + V^T) of its diagram's Seifert matrix,
-    the one geometric check of the band move.  The moth is `certified_moth`.
+    determinant is |p| of its fraction, checked against |nabla(2i)|, and
+    the moth is `certified_moth`.  No diagram is built here: the geometric
+    check of the band move, det(V + V^T) of the butterfly link's Seifert
+    matrix, is a separate step of `cli.analyze_presentation`.
     """
     knot = continuant_matrix(pres.knot_cf(), 1)
     lhat = continuant_row(pres.butterfly_cf(), -1)[0]
     det = _checked_determinant("butterfly", butterfly_fraction(pres), lhat)
-    surface = determinant(seifert_matrix_data(build_lhat_diagram(pres)))
-    if surface != det:
-        raise InvariantViolation(
-            f"butterfly determinant {surface} != fraction numerator {det}")
     det_knot = _checked_determinant("knot", knot_fraction(pres), knot[0][0])
     return certificate_from_invariants(lhat, det, certified_moth(lhat, knot, pres.b),
                                        knot[0][0], det_knot)

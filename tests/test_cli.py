@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from equibridge import cli, diagrams, rationals, seifert
+from equibridge import cli, diagrams, moth, rationals, seifert
 from equibridge.cli import knot_report
 from equibridge.laurent import InvariantViolation
+from equibridge.presentations import inversions_from_fraction
 from equibridge.rationals import schubert_classes
 
 
@@ -98,6 +99,26 @@ def test_each_diagram_and_seifert_matrix_built_once(monkeypatch):
     assert knots == []
 
 
+def test_order_certificate_builds_no_diagram(monkeypatch):
+    surfaces = count_calls(monkeypatch, seifert, "seifert_matrix_data")
+    plats = count_calls(monkeypatch, diagrams, "build_plat_diagram")
+    for p, q in ((3, 2), (17, 12), (99, 35)):
+        pair = inversions_from_fraction(p, q)
+        for pres in filter(None, (pair.inv1, pair.inv2)):
+            assert moth.order_certificate(pres).verdict == "InfiniteOrder"
+    assert surfaces == [] and plats == []
+
+
+def test_wrong_butterfly_surface_determinant_exits_3(monkeypatch, capsys):
+    real = cli.determinant
+    monkeypatch.setattr(cli, "determinant", lambda data: real(data) + 1)
+    assert cli.main(["analyze", "--fraction", "3/2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: internal check failed: "
+                            "butterfly determinant 9 != fraction numerator 8\n")
+
+
 def test_i1_input_equal_to_an_inversion_analyzed_once(monkeypatch):
     analyzed = count_calls(monkeypatch, cli, "analyze_presentation")
     report = knot_report(i1="2,4;1,1")
@@ -124,6 +145,15 @@ def test_import_leaves_fractions_out():
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
+def test_moth_import_leaves_the_geometry_out():
+    code = ("import sys, equibridge.moth; "
+            "print(sorted({'equibridge.diagrams', 'equibridge.seifert'}"
+            " & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 
 def test_table_report_bytes_are_pinned(tmp_path):
