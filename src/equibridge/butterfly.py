@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .laurent import InvariantViolation, TCoeffs, lp
-from .presentations import I1Presentation, butterfly_fraction, knot_fraction
+from .presentations import I1Presentation
 from .rationals import Frac, eval_cf
 
 
@@ -140,13 +140,13 @@ def nullity_obstruction(pres: I1Presentation) -> NullityReport:
     reversed butterfly fraction has the same numerator size as the forward
     one.  Failures signal builder bugs, not bad input.
     """
-    bf = butterfly_fraction(pres)
+    bf = pres.butterfly_fraction
     if bf.is_infinite() or bf.p == 0:
         raise InvariantViolation(f"butterfly fraction degenerate for {pres}: {bf}")
     if bf.p % 2 != 0:
         raise InvariantViolation(f"butterfly numerator must be even, got {bf}")
 
-    kf = knot_fraction(pres)
+    kf = pres.knot_fraction
     p, q = kf.positive_numerator()
     rev_entries = []
     for a, c in zip(reversed(pres.alphas), reversed(pres.cs)):

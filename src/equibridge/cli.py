@@ -17,17 +17,12 @@ from .laurent import (
     InvariantViolation,
     lp_is_eta_admissible,
     lp_to_str,
-    rf_make,
-    subs_inv_equal,
-    z_to_t,
     zp_to_str,
 )
 from .rationals import frac_parse, cf_parse, schubert_classes
 from .presentations import (
     I1Presentation,
     inversions_from_fraction,
-    knot_fraction,
-    butterfly_fraction,
     parse_i1,
     presentation_from_cf,
 )
@@ -63,8 +58,8 @@ def analyze_presentation(pres: I1Presentation) -> dict:
     lk_k, lk_ak = axis_linking(pres)
     cert = equivariant_slice_obstruction(pres)
     nullity = nullity_obstruction(pres)
-    kf = knot_fraction(pres)
-    bf = butterfly_fraction(pres)
+    kf = pres.knot_fraction
+    bf = pres.butterfly_fraction
     order = order_certificate(pres)
     surface = determinant(seifert_matrix_data(build_lhat_diagram(pres)))
     if surface != order.determinant_lhat:
@@ -117,7 +112,7 @@ def knot_report(
             "text": cf if cf is not None else i1,
         }
         report["given"] = analyzed(pres)
-        kf = knot_fraction(pres)
+        kf = pres.knot_fraction
         p, q = kf.positive_numerator()
         pair = inversions_from_fraction(p, q)
     report["fraction"] = str(pair.source)
@@ -303,16 +298,18 @@ def cmd_verify(args) -> int:
         if red is None:
             return False
         return (butterfly_polynomial(pres) == butterfly_polynomial(red)
-                and butterfly_fraction(pres) == butterfly_fraction(red))
+                and pres.butterfly_fraction == red.butterfly_fraction)
 
     def determinant_check(pres):
         return (determinant(seifert_matrix_data(build_knot_diagram(pres)))
-                == abs(knot_fraction(pres).p)
+                == abs(pres.knot_fraction.p)
                 and determinant(seifert_matrix_data(build_lhat_diagram(pres)))
-                == abs(butterfly_fraction(pres).p))
+                == abs(pres.butterfly_fraction.p))
 
     def moth_check(pres):
         # The certified moth against a gcd reduction of the same quotient.
+        from .oracles import rf_make, subs_inv_equal, z_to_t
+
         cert = order_certificate(pres)
         if cert.conway_lhat[:1] != (0,):  # nabla(L-hat) must be divisible by z
             return False

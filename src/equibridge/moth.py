@@ -12,18 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .laurent import InvariantViolation, RationalFn, TCoeffs, ZCoeffs
-from .presentations import (
-    I1Presentation,
-    butterfly_fraction,
-    continuant_matrix,
-    continuant_row,
-    knot_fraction,
+from .laurent import (
+    InvariantViolation, RationalFn, TCoeffs, ZCoeffs, lp_to_str, zp_to_str,
 )
+from .presentations import I1Presentation, continuant_matrix, continuant_row
 from .rationals import Frac
 
 INFINITE_ORDER = "InfiniteOrder"
-INCONCLUSIVE = "Inconclusive"
 
 
 def _trim(p: list[int]) -> list[int]:
@@ -70,7 +65,7 @@ def _w_to_t(cs: list[int]) -> list[int]:
 def certified_moth(lhat: ZCoeffs, knot: tuple[tuple[ZCoeffs, ZCoeffs], ...],
                    b: int) -> RationalFn:
     """nabla(L-hat)(z) / (z * nabla(K)(z)) as a rational function of t, in
-    the canonical form of `rf_make`, with no gcd.
+    the canonical form of `oracles.rf_make`, with no gcd.
 
     `lhat` is nabla(L-hat) and `knot` the `continuant_matrix` of the knot's
     entries x1..xm; b is the balancing entry.  The matrix has determinant 1
@@ -128,8 +123,6 @@ class OrderCertificate:
             raise InvariantViolation("infinite-order verdict with zero witness")
 
     def to_json(self) -> dict:
-        from .laurent import lp_to_str, zp_to_str
-
         return {
             "verdict": self.verdict,
             "conway_lhat": zp_to_str(self.conway_lhat),
@@ -137,15 +130,6 @@ class OrderCertificate:
             "moth_num": lp_to_str(self.moth.num),
             "moth_den": lp_to_str(self.moth.den),
         }
-
-
-def certificate_from_invariants(
-    conway_lhat: ZCoeffs, det_lhat: int, moth: RationalFn,
-    conway_knot: ZCoeffs, det_knot: int,
-) -> OrderCertificate:
-    verdict = INFINITE_ORDER if conway_lhat else INCONCLUSIVE
-    return OrderCertificate(verdict, conway_lhat, det_lhat, moth,
-                            conway_knot, det_knot)
 
 
 def order_certificate(pres: I1Presentation) -> OrderCertificate:
@@ -162,10 +146,10 @@ def order_certificate(pres: I1Presentation) -> OrderCertificate:
     """
     knot = continuant_matrix(pres.knot_cf(), 1)
     lhat = continuant_row(pres.butterfly_cf(), -1)[0]
-    det = _checked_determinant("butterfly", butterfly_fraction(pres), lhat)
-    det_knot = _checked_determinant("knot", knot_fraction(pres), knot[0][0])
-    return certificate_from_invariants(lhat, det, certified_moth(lhat, knot, pres.b),
-                                       knot[0][0], det_knot)
+    det = _checked_determinant("butterfly", pres.butterfly_fraction, lhat)
+    det_knot = _checked_determinant("knot", pres.knot_fraction, knot[0][0])
+    return OrderCertificate(INFINITE_ORDER, lhat, det,
+                            certified_moth(lhat, knot, pres.b), knot[0][0], det_knot)
 
 
 def _checked_determinant(name: str, fraction: Frac, nabla: ZCoeffs) -> int:

@@ -83,10 +83,15 @@ class I1Presentation:
     # presentation shares a single evaluation of each fraction.
     @cached_property
     def knot_fraction(self) -> Frac:
+        """Fraction of the underlying 2-bridge knot."""
         return eval_cf(self.knot_cf())
 
     @cached_property
     def butterfly_fraction(self) -> Frac:
+        """Fraction of the 2-bridge link obtained by the balancing band move.
+
+        Evaluated projectively so a trailing zero entry (b = 0) is absorbed.
+        """
         return eval_cf(self.butterfly_cf())
 
     def __str__(self) -> str:
@@ -115,19 +120,6 @@ def parse_i1(text: str) -> I1Presentation:
     except DomainError as exc:
         raise ParseError(str(exc)) from None
     return I1Presentation(alphas, cs)
-
-
-def knot_fraction(pres: I1Presentation) -> Frac:
-    """Fraction of the underlying 2-bridge knot."""
-    return pres.knot_fraction
-
-
-def butterfly_fraction(pres: I1Presentation) -> Frac:
-    """Fraction of the 2-bridge link obtained by the balancing band move.
-
-    Evaluated projectively so a trailing zero entry (b = 0) is absorbed.
-    """
-    return pres.butterfly_fraction
 
 
 def _trimmed(p: list[int]) -> ZCoeffs:
@@ -218,7 +210,7 @@ def inversions_from_fraction(p: int, q: int) -> InversionPair:
     if inv2.alphas == inv1.alphas and inv2.cs == inv1.cs:
         inv2 = None
     for inv in (inv1,) + ((inv2,) if inv2 else ()):
-        kf = knot_fraction(inv)
+        kf = inv.knot_fraction
         pp, qq = kf.positive_numerator()
         if not two_bridge_equiv(pp, qq, p, q):
             raise InvariantViolation(f"builder produced a wrong knot: {inv} -> {kf}")

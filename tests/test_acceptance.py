@@ -19,9 +19,7 @@ from equibridge.laurent import TCoeffs, lp_is_eta_admissible, zp_parse
 from equibridge.moth import order_certificate
 from equibridge.presentations import (
     I1Presentation,
-    butterfly_fraction,
     inversions_from_fraction,
-    knot_fraction,
     parse_i1,
 )
 from equibridge.rationals import eval_cf, schubert_classes
@@ -122,7 +120,7 @@ def test_criterion_5_non_sliceness_totality():
 def test_criterion_6_reversal_identity():
     count = 0
     for pres in _enumerated_presentations():
-        kf = knot_fraction(pres)
+        kf = pres.knot_fraction
         p, q = kf.positive_numerator()
         rev_entries = []
         for a, c in zip(reversed(pres.alphas), reversed(pres.cs)):
@@ -142,8 +140,8 @@ def test_criterion_7_determinant_cross_check():
     for pres in _enumerated_presentations():
         knot = seifert_matrix_data(build_knot_diagram(pres))
         lhat = seifert_matrix_data(build_lhat_diagram(pres))
-        assert determinant(knot) == abs(knot_fraction(pres).p)
-        assert determinant(lhat) == abs(butterfly_fraction(pres).p)
+        assert determinant(knot) == abs(pres.knot_fraction.p)
+        assert determinant(lhat) == abs(pres.butterfly_fraction.p)
         count += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
@@ -195,6 +193,6 @@ def test_criterion_10_b_zero_reduction():
         red = reduce_if_b_zero(padded)
         assert red == base
         assert butterfly_polynomial(padded) == butterfly_polynomial(base)
-        assert butterfly_fraction(padded) == butterfly_fraction(base)
+        assert padded.butterfly_fraction == base.butterfly_fraction
         count += 1
     _passline(10, "50 padded presentations: polynomial and fraction preserved")

@@ -156,6 +156,18 @@ def test_moth_import_leaves_the_geometry_out():
     assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 
+def test_only_verify_loads_the_oracles():
+    code = ("import sys, equibridge.cli as c; "
+            "assert c.main(['analyze', '--fraction', '17/12']) == 0; "
+            "assert c.main(['table', '--max-p', '9']) == 0; "
+            "before = 'equibridge.oracles' in sys.modules; "
+            "assert c.main(['verify', '--samples', '10']) == 0; "
+            "print(before, 'equibridge.oracles' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0 and proc.stderr.splitlines()[-1] == "False True"
+
+
 def test_table_report_bytes_are_pinned(tmp_path):
     out = tmp_path / "t25.jsonl"
     assert cli.main(["table", "--max-p", "25", "--format", "jsonl",

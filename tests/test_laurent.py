@@ -14,14 +14,12 @@ from equibridge.laurent import (
     lp_is_eta_admissible,
     lp_parse,
     lp_to_str,
-    rf_make,
-    subs_inv_equal,
-    z_to_t,
     zp_parse,
     zp_to_str,
 )
 from equibridge.diagrams import build_knot_diagram, build_lhat_diagram
 from equibridge.moth import order_certificate
+from equibridge.oracles import rf_make, subs_inv_equal, z_to_t
 from equibridge.presentations import I1Presentation, conway_continuant, parse_i1
 from equibridge.seifert import conway_polynomial, seifert_matrix_data
 

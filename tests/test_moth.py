@@ -5,28 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equibridge import cli, moth
-from equibridge.laurent import (
-    InvariantViolation,
-    lp_parse,
-    rf_make,
-    subs_inv_equal,
-    z_to_t,
-    zp_parse,
-)
-from equibridge.moth import (
-    INFINITE_ORDER,
-    INCONCLUSIVE,
-    OrderCertificate,
-    certificate_from_invariants,
-    order_certificate,
-)
+from equibridge.laurent import InvariantViolation, lp_parse, zp_parse
+from equibridge.moth import INFINITE_ORDER, OrderCertificate, order_certificate
+from equibridge.oracles import rf_make, subs_inv_equal, z_to_t
 from equibridge.presentations import (
     I1Presentation,
-    butterfly_fraction,
     continuant_matrix,
     conway_continuant,
     inversions_from_fraction,
-    knot_fraction,
     parse_i1,
 )
 from equibridge.rationals import schubert_classes
@@ -72,14 +58,8 @@ def test_every_small_presentation_infinite_order():
         pres = random_presentation(rng, max_n=3, max_alpha=6, max_c=3)
         cert = order_certificate(pres)
         assert cert.verdict == INFINITE_ORDER
-        assert cert.determinant_lhat == abs(butterfly_fraction(pres).p)
-        assert cert.determinant_knot == abs(knot_fraction(pres).p)
-
-
-def test_inconclusive_branch_via_stub():
-    moth = rf_make(lp_parse("0"), lp_parse("1"))
-    cert = certificate_from_invariants((), 0, moth, (1,), 1)
-    assert cert.verdict == INCONCLUSIVE
+        assert cert.determinant_lhat == abs(pres.butterfly_fraction.p)
+        assert cert.determinant_knot == abs(pres.knot_fraction.p)
 
 
 def test_certificate_invariant_guard():
@@ -109,7 +89,7 @@ def test_order_certificate_of_40_pairs_is_fast():
     cert = order_certificate(pres)
     assert time.perf_counter() - start < 1
     assert cert.verdict == INFINITE_ORDER
-    assert cert.determinant_knot == abs(knot_fraction(pres).p)
+    assert cert.determinant_knot == abs(pres.knot_fraction.p)
 
 
 def test_det_from_conway_reads_both_parities():

@@ -11,12 +11,10 @@ from equibridge.moth import _det_from_conway
 from equibridge.presentations import (
     I1Presentation,
     ParseError,
-    butterfly_fraction,
     continuant_matrix,
     continuant_row,
     conway_continuant,
     inversions_from_fraction,
-    knot_fraction,
     parse_i1,
 )
 from equibridge.rationals import Frac, schubert_classes, two_bridge_equiv
@@ -75,15 +73,15 @@ def test_sigma_consistency():
 
 
 def test_knot_fraction_examples():
-    assert knot_fraction(parse_i1("2;1")) == Frac.make(3, 2)
-    assert knot_fraction(parse_i1("2;-1")) == Frac.make(5, 2)
-    assert knot_fraction(parse_i1("2,4;1,1")) == Frac.make(17, 12)
+    assert parse_i1("2;1").knot_fraction == Frac.make(3, 2)
+    assert parse_i1("2;-1").knot_fraction == Frac.make(5, 2)
+    assert parse_i1("2,4;1,1").knot_fraction == Frac.make(17, 12)
 
 
 def test_butterfly_fraction_examples():
-    assert butterfly_fraction(parse_i1("2;1")) == Frac.make(8, 5)
-    assert butterfly_fraction(parse_i1("2;-1")) == Frac.make(8, 3)
-    assert butterfly_fraction(parse_i1("2,-2;1,1")) == Frac.make(8, 5)
+    assert parse_i1("2;1").butterfly_fraction == Frac.make(8, 5)
+    assert parse_i1("2;-1").butterfly_fraction == Frac.make(8, 3)
+    assert parse_i1("2,-2;1,1").butterfly_fraction == Frac.make(8, 5)
 
 
 def test_knot_fraction_of_300_pairs_is_fast():
@@ -93,11 +91,11 @@ def test_knot_fraction_of_300_pairs_is_fast():
         tuple(rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(300)),
     )
     start = time.perf_counter()
-    kf = knot_fraction(pres)
-    bf = butterfly_fraction(pres)
+    kf = pres.knot_fraction
+    bf = pres.butterfly_fraction
     assert time.perf_counter() - start < 0.5
     assert kf.p % 2 == 1 and bf.p % 2 == 0
-    assert knot_fraction(pres) is kf  # evaluated once per presentation
+    assert pres.knot_fraction is kf  # evaluated once per presentation
 
 
 def test_butterfly_numerator_even_nonzero():
@@ -106,7 +104,7 @@ def test_butterfly_numerator_even_nonzero():
         n = rng.randint(1, 4)
         alphas = tuple(rng.choice([-8, -6, -4, -2, 2, 4, 6, 8]) for _ in range(n))
         cs = tuple(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]) for _ in range(n))
-        bf = butterfly_fraction(I1Presentation(alphas, cs))
+        bf = I1Presentation(alphas, cs).butterfly_fraction
         assert bf.p != 0 and bf.p % 2 == 0
 
 
@@ -120,14 +118,14 @@ def test_inversions_figure_eight():
     pair = inversions_from_fraction(5, 2)
     assert str(pair.inv1) == "I1(2;-1)"
     assert str(pair.inv2) == "I1(-2;1)"
-    assert knot_fraction(pair.inv2) == Frac.make(-5, 2)
+    assert pair.inv2.knot_fraction == Frac.make(-5, 2)
 
 
 def test_inversions_seven_two():
     pair = inversions_from_fraction(7, 2)
     assert str(pair.inv1) == "I1(4;1)"
     assert str(pair.inv2) == "I1(2;2)"
-    assert knot_fraction(pair.inv2) == Frac.make(7, 4)
+    assert pair.inv2.knot_fraction == Frac.make(7, 4)
     assert (2 * 4) % 7 == 1  # 4 is the inverse of 2 mod 7
 
 
@@ -140,7 +138,7 @@ def test_inversions_schubert_equivalent_sweep():
             for inv in (pair.inv1, pair.inv2):
                 if inv is None:
                     continue
-                pp, qq = knot_fraction(inv).positive_numerator()
+                pp, qq = inv.knot_fraction.positive_numerator()
                 assert two_bridge_equiv(pp, qq, p, q)
 
 
@@ -218,5 +216,5 @@ def test_knot_surface_determinant_equals_the_arithmetic_routes(data):
     p <= 45; `analyze` itself no longer builds the knot's diagram."""
     pres = I1Presentation(*map(tuple, data))
     det = determinant(seifert_matrix_data(build_knot_diagram(pres)))
-    assert det == abs(knot_fraction(pres).p)
+    assert det == abs(pres.knot_fraction.p)
     assert det == _det_from_conway(conway_continuant(pres.knot_cf(), 1))

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from equibridge.cli import random_presentation
 from equibridge.diagrams import build_knot_diagram, build_lhat_diagram, build_plat_diagram
 from equibridge.laurent import DomainError, InvariantViolation, zp_parse
-from equibridge.presentations import butterfly_fraction, knot_fraction
 from equibridge.seifert import (
     _bareiss_det,
     _check_connected,
@@ -111,8 +110,8 @@ def test_determinant_equals_fraction_numerators():
         pres = random_presentation(rng, max_n=3, max_alpha=6, max_c=3)
         knot = seifert_matrix_data(build_knot_diagram(pres))
         lhat = seifert_matrix_data(build_lhat_diagram(pres))
-        assert determinant(knot) == abs(knot_fraction(pres).p)
-        assert determinant(lhat) == abs(butterfly_fraction(pres).p)
+        assert determinant(knot) == abs(pres.knot_fraction.p)
+        assert determinant(lhat) == abs(pres.butterfly_fraction.p)
 
 
 def test_alexander_symmetry_of_seifert_determinant():
