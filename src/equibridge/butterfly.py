@@ -83,39 +83,38 @@ class SliceObstructionCertificate:
         }
 
 
+def _axis_link_witness(pres: I1Presentation) -> Optional[AxisLinkWitness]:
+    """The first non-zero axis-linking number, K before aK, if any."""
+    lk_k, lk_ak = axis_linking(pres)
+    if lk_k != 0:
+        return AxisLinkWitness(lk_k, "K")
+    if lk_ak != 0:
+        return AxisLinkWitness(lk_ak, "aK")
+    return None
+
+
 def equivariant_slice_obstruction(pres: I1Presentation) -> SliceObstructionCertificate:
     """Certify non-sliceness via axis-linking numbers, reducing once if needed.
 
-    If both linking numbers vanish then b = 0 (their difference is b), the
-    presentation reduces, and depth 1 always produces a non-zero witness;
-    depth 2 would indicate a bug, hence the hard cap.
+    If both linking numbers vanish then b = 0 (their difference is b), and
+    the presentation reduces.  The reduced one has b = -alpha_n != 0, so it
+    always has a non-zero witness; a second reduction would indicate a bug.
     """
-    current = pres
-    trace = [str(pres)]
-    for depth in range(3):
-        if depth == 2:
-            raise InvariantViolation(
-                f"axis-linking reduction exceeded depth 1 for {pres}"
-            )
-        lk_k, lk_ak = axis_linking(current)
-        if lk_k != 0 or lk_ak != 0:
-            if lk_k != 0:
-                witness: Witness = AxisLinkWitness(lk_k, "K")
-            else:
-                witness = AxisLinkWitness(lk_ak, "aK")
-            if depth > 0:
-                witness = ReducedAxisLinkWitness(depth, witness.value)
-            return SliceObstructionCertificate(
-                NOT_EQUIVARIANTLY_SLICE, witness, tuple(trace)
-            )
-        reduced = reduce_if_b_zero(current)
-        if reduced is None:
-            raise InvariantViolation(
-                f"both axis-linking numbers vanish but b != 0 for {current}"
-            )
-        current = reduced
-        trace.append(str(current))
-    raise AssertionError("unreachable")
+    witness = _axis_link_witness(pres)
+    if witness is not None:
+        return SliceObstructionCertificate(
+            NOT_EQUIVARIANTLY_SLICE, witness, (str(pres),))
+    reduced = reduce_if_b_zero(pres)
+    if reduced is None:
+        raise InvariantViolation(
+            f"both axis-linking numbers vanish but b != 0 for {pres}")
+    witness = _axis_link_witness(reduced)
+    if witness is None:
+        raise InvariantViolation(
+            f"axis-linking reduction exceeded depth 1 for {pres}")
+    return SliceObstructionCertificate(
+        NOT_EQUIVARIANTLY_SLICE, ReducedAxisLinkWitness(1, witness.value),
+        (str(pres), str(reduced)))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
+import functools
 import json
 import os
 import random
@@ -204,39 +206,49 @@ def cmd_table(args) -> int:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 2
     try:
-        # Classes come in (p, q) order, and both loops below keep it.
         classes = schubert_classes(args.max_p)
         # A forked pool starts every worker at once, so never ask for more
         # workers than there are CPUs or classes.
         workers = min(args.parallel, os.cpu_count() or 1, len(classes))
-        if workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-                results = list(ex.map(_class_report, classes))
-        else:
-            results = [_class_report(pq) for pq in classes]
-        if args.format == "jsonl":
-            for p, q, report in results:
-                record = {"p": p, "q": q, **report}
-                out.write(json.dumps(record, sort_keys=False) + "\n")
-        else:
-            rows = []
-            for p, q, report in results:
-                rows.extend(_flatten_for_csv(p, q, report))
-            writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
+        pool = (concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+                if workers > 1 else contextlib.nullcontext())
+        with pool as ex:
+            # Both maps yield in (p, q) order; each record is written as it
+            # arrives and is not kept.
+            written = 0
+            writer = None
+            for p, q, report in (ex.map if ex else map)(_class_report, classes):
+                if args.format == "jsonl":
+                    record = {"p": p, "q": q, **report}
+                    out.write(json.dumps(record, sort_keys=False) + "\n")
+                else:
+                    class_rows = _flatten_for_csv(p, q, report)
+                    if writer is None:
+                        writer = csv.DictWriter(out, fieldnames=list(class_rows[0]))
+                        writer.writeheader()
+                    writer.writerows(class_rows)
+                written += 1
     finally:
         if args.out:
             out.close()
-    print(f"{len(results)} classes written", file=sys.stderr)
+    print(f"{written} classes written", file=sys.stderr)
     return 0
+
+
+@functools.cache
+def _twist_choices(max_alpha: int, max_c: int) -> tuple[tuple[int, ...], ...]:
+    """The non-zero even alphas and the non-zero cs, each in ascending
+    order; built once per bound, since `verify` draws thousands of times."""
+    even = tuple(a for a in range(-max_alpha, max_alpha + 1)
+                 if a != 0 and a % 2 == 0)
+    nonzero = tuple(c for c in range(-max_c, max_c + 1) if c != 0)
+    return even, nonzero
 
 
 def random_presentation(rng: random.Random, max_n: int = 4,
                         max_alpha: int = 8, max_c: int = 4) -> I1Presentation:
     n = rng.randint(1, max_n)
-    even = [a for a in range(-max_alpha, max_alpha + 1) if a != 0 and a % 2 == 0]
-    nonzero = [c for c in range(-max_c, max_c + 1) if c != 0]
+    even, nonzero = _twist_choices(max_alpha, max_c)
     alphas = tuple(rng.choice(even) for _ in range(n))
     cs = tuple(rng.choice(nonzero) for _ in range(n))
     return I1Presentation(alphas, cs)

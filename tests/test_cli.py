@@ -371,12 +371,44 @@ def test_table_validation():
 
 
 def test_table_deterministic_and_parallel(tmp_path):
-    p1 = tmp_path / "a.jsonl"
-    p2 = tmp_path / "b.jsonl"
-    assert run_cli("table", "--max-p", "11", "--out", str(p1))[0] == 0
-    assert run_cli("table", "--max-p", "11", "--out", str(p2),
-                   "--parallel", "2")[0] == 0
-    assert p1.read_bytes() == p2.read_bytes()
+    for fmt in ("jsonl", "csv"):
+        p1 = tmp_path / f"a.{fmt}"
+        p2 = tmp_path / f"b.{fmt}"
+        assert run_cli("table", "--max-p", "11", "--format", fmt,
+                       "--out", str(p1))[0] == 0
+        assert run_cli("table", "--max-p", "11", "--format", fmt,
+                       "--out", str(p2), "--parallel", "2")[0] == 0
+        assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_table_failing_class_leaves_earlier_records(monkeypatch, capsys,
+                                                    tmp_path, parallel):
+    """Records stream: when the last class fails its check, every earlier
+    record is already written, no summary line follows, and the exit is 3.
+    Forked workers inherit the patched `analyze_presentation`."""
+    good = tmp_path / "good.jsonl"
+    assert cli.main(["table", "--max-p", "15", "--out", str(good)]) == 0
+    capsys.readouterr()
+    last = inversions_from_fraction(*schubert_classes(15)[-1])
+    real = cli.analyze_presentation
+
+    def failing_on_last(pres):
+        if pres in (last.inv1, last.inv2):
+            raise InvariantViolation(f"planted failure for {pres}")
+        return real(pres)
+
+    monkeypatch.setattr(cli, "analyze_presentation", failing_on_last)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    out = tmp_path / "failed.jsonl"
+    assert cli.main(["table", "--max-p", "15", "--out", str(out),
+                     "--parallel", parallel]) == 3
+    assert out.read_bytes().splitlines(keepends=True) == (
+        good.read_bytes().splitlines(keepends=True)[:-1])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: internal check failed: "
+                            f"planted failure for {last.inv1}\n")
 
 
 def test_table_unwritable_path():
@@ -398,6 +430,8 @@ def test_verify_passes_and_is_seeded():
     code, out, _ = run_cli("verify", "--samples", "30", "--seed", "7")
     assert code == 0
     assert "all suites passed" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9f6e1853941d64cd39696862d0eb3f17996b6e4618b2ada314cb5ca806b47d74")
     code2, out2, _ = run_cli("verify", "--samples", "30", "--seed", "7")
     assert out2 == out
 
