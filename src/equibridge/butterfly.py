@@ -3,10 +3,9 @@ numbers, the b = 0 reduction, the non-sliceness verdict and the nullity
 obstruction."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
-from .laurent import InvariantViolation, TCoeffs, lp
+from .laurent import Frozen, InvariantViolation, TCoeffs, lp, typed_equality
 from .presentations import I1Presentation
 from .rationals import Frac, eval_cf
 
@@ -41,8 +40,8 @@ def reduce_if_b_zero(pres: I1Presentation) -> Optional[I1Presentation]:
     return I1Presentation(pres.alphas[:-1], pres.cs[:-1])
 
 
-@dataclass(frozen=True)
-class AxisLinkWitness:
+@typed_equality
+class AxisLinkWitness(NamedTuple):
     value: int
     which: str  # "K" or "aK"
 
@@ -50,8 +49,8 @@ class AxisLinkWitness:
         return {"kind": "axis_link", "value": self.value, "which": self.which}
 
 
-@dataclass(frozen=True)
-class ReducedAxisLinkWitness:
+@typed_equality
+class ReducedAxisLinkWitness(NamedTuple):
     depth: int
     value: int
 
@@ -64,16 +63,15 @@ Witness = Union[AxisLinkWitness, ReducedAxisLinkWitness]
 NOT_EQUIVARIANTLY_SLICE = "NotEquivariantlySlice"
 
 
-@dataclass(frozen=True)
-class SliceObstructionCertificate:
-    verdict: str
-    witness: Optional[Witness]
-    trace: tuple[str, ...]
+class SliceObstructionCertificate(Frozen):
+    _fields = ("verdict", "witness", "trace")
 
-    def __post_init__(self):
-        if self.verdict == NOT_EQUIVARIANTLY_SLICE:
-            if self.witness is None or self.witness.value == 0:
+    def __init__(self, verdict: str, witness: Optional[Witness],
+                 trace: tuple[str, ...]):
+        if verdict == NOT_EQUIVARIANTLY_SLICE:
+            if witness is None or witness.value == 0:
                 raise InvariantViolation("non-sliceness verdict without a witness")
+        vars(self).update(verdict=verdict, witness=witness, trace=trace)
 
     def to_json(self) -> dict:
         return {
@@ -117,8 +115,8 @@ def equivariant_slice_obstruction(pres: I1Presentation) -> SliceObstructionCerti
         (str(pres), str(reduced)))
 
 
-@dataclass(frozen=True)
-class NullityReport:
+@typed_equality
+class NullityReport(NamedTuple):
     fraction: Frac  # p''/q'' of the butterfly link
     h1_order: int
     nullity: int

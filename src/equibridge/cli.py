@@ -1,18 +1,21 @@
 """Command-line interface: analyze single knots, tabulate families, and run
-the randomized verification harness."""
+the randomized verification harness.
+
+Every start imports this module.  A standard-library module that only one
+branch uses is imported in that branch: `concurrent.futures` by a `table`
+pool, `csv` by `table --format csv` and `random` by `verify`.  The package
+modules are all imported here, since `analyze` and `table` run them.
+"""
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
-import csv
 import functools
 import json
 import os
-import random
 import sys
 import time
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .laurent import (
     DomainError,
@@ -39,6 +42,9 @@ from .diagrams import build_knot_diagram, build_lhat_diagram
 from .seifert import determinant, seifert_matrix_data
 from .moth import order_certificate
 from .strip import build_strip, label_strip, eta_from_strip, eta_oracle, parse_strip, print_strip, strip_census
+
+if TYPE_CHECKING:
+    import random
 
 SCHEMA_VERSION = 1
 
@@ -210,8 +216,11 @@ def cmd_table(args) -> int:
         # A forked pool starts every worker at once, so never ask for more
         # workers than there are CPUs or classes.
         workers = min(args.parallel, os.cpu_count() or 1, len(classes))
-        pool = (concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-                if workers > 1 else contextlib.nullcontext())
+        if workers > 1:
+            import concurrent.futures
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+        else:
+            pool = contextlib.nullcontext()
         with pool as ex:
             # Both maps yield in (p, q) order; each record is written as it
             # arrives and is not kept.
@@ -224,6 +233,7 @@ def cmd_table(args) -> int:
                 else:
                     class_rows = _flatten_for_csv(p, q, report)
                     if writer is None:
+                        import csv
                         writer = csv.DictWriter(out, fieldnames=list(class_rows[0]))
                         writer.writeheader()
                     writer.writerows(class_rows)
@@ -278,6 +288,7 @@ def cmd_verify(args) -> int:
     if args.samples < 1:
         print("error: --samples must be at least 1", file=sys.stderr)
         return 2
+    import random
     rng = random.Random(args.seed)
     # (suite name, presentation, exception raised or None for a mismatch)
     failures: list[tuple[str, I1Presentation, Optional[Exception]]] = []

@@ -14,7 +14,6 @@ the crossing sign is +1 exactly when A is on top.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .laurent import DomainError, InvariantViolation
@@ -25,15 +24,15 @@ Point = tuple[int, int]
 PARTNER_SLOT = {"nw": "se", "se": "nw", "sw": "ne", "ne": "sw"}
 
 
-@dataclass
 class PDCrossing:
-    x: int
-    y: int
-    nw: int = -1
-    ne: int = -1
-    se: int = -1
-    sw: int = -1
-    over_a: bool = True
+    """A crossing at (x, y): the edge id at each corner slot (-1 until the
+    builder attaches one) and whether strand A, the NW-SE one, is on top."""
+
+    __slots__ = ("x", "y", "nw", "ne", "se", "sw", "over_a")
+
+    def __init__(self, x: int, y: int, over_a: bool):
+        self.x, self.y, self.over_a = x, y, over_a
+        self.nw = self.ne = self.se = self.sw = -1
 
     def slot(self, name: str) -> int:
         return getattr(self, name)
@@ -44,22 +43,35 @@ class PDCrossing:
         return (self.x + dx, self.y + dy)
 
 
-@dataclass
 class PDEdge:
-    ident: int
-    a: tuple[int, str]  # (crossing index, slot) where the path starts
-    b: tuple[int, str]
-    points: list[Point]
+    """An edge along the polyline `points`, from anchor a to anchor b; an
+    anchor is (crossing index, slot)."""
+
+    # A plain class, not a NamedTuple: the diagram and Seifert loops read
+    # these attributes often, and a slot reads faster than a tuple field.
+    __slots__ = ("ident", "a", "b", "points")
+
+    def __init__(self, ident: int, a: tuple[int, str], b: tuple[int, str],
+                 points: list[Point]):
+        self.ident, self.a, self.b, self.points = ident, a, b, points
 
 
-@dataclass
 class OrientedPD:
-    crossings: list[PDCrossing]
-    edges: dict[int, PDEdge]
-    free_loops: list[list[Point]]
-    components: list[list[tuple[int, int]]]  # per component: (edge id, dir)
-    direction: dict[int, int]  # +1 flow a->b, -1 flow b->a
-    final_marker: Optional[tuple[tuple[int, int], tuple[int, int]]] = None
+    """Crossings, anchored edges and free loops; `_trace_components` fills
+    components (per component: (edge id, dir)) and direction (+1 flow
+    a->b, -1 flow b->a), and the builder sets final_marker."""
+
+    __slots__ = ("crossings", "edges", "free_loops", "components", "direction",
+                 "final_marker")
+
+    def __init__(self, crossings: list[PDCrossing], edges: dict[int, PDEdge],
+                 free_loops: list[list[Point]]):
+        self.crossings = crossings
+        self.edges = edges
+        self.free_loops = free_loops
+        self.components: list[list[tuple[int, int]]] = []
+        self.direction: dict[int, int] = {}
+        self.final_marker: Optional[tuple[tuple[int, int], tuple[int, int]]] = None
 
     def component_count(self) -> int:
         return len(self.components) + len(self.free_loops)
@@ -294,7 +306,7 @@ def build_plat_diagram(entries: Sequence[int]) -> OrientedPD:
         for slot in ("nw", "ne", "se", "sw"):
             setattr(c, slot, by_anchor[(ci, slot)])
 
-    pd = OrientedPD(b.crossings, edges, free_loops, [], {}, None)
+    pd = OrientedPD(b.crossings, edges, free_loops)
     _trace_components(pd)
     if marker_pieces is not None and all(p in piece_home for p in marker_pieces):
         pd.final_marker = (piece_home[marker_pieces[0]], piece_home[marker_pieces[1]])

@@ -8,6 +8,10 @@ pair `RationalFn`.  The production path builds these values directly and
 renders them; there is no arithmetic on them here.  The moth's second
 route, which does arithmetic on them, is in `oracles`.  No floating point
 anywhere.
+
+The module also holds what every other module shares: the two error types
+and the two helpers that give the package's records value semantics,
+`typed_equality` for `NamedTuple` records and `Frozen` for plain classes.
 """
 from __future__ import annotations
 
@@ -21,6 +25,55 @@ class DomainError(ValueError):
 
 class InvariantViolation(RuntimeError):
     """An internal cross-check failed; signals a bug, not bad input."""
+
+
+def _same_type_eq(self, other) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _same_type_ne(self, other) -> bool:
+    return not _same_type_eq(self, other)
+
+
+def typed_equality(cls):
+    """Class decorator for a `NamedTuple` record: it equals only records of
+    its own class with equal fields.  Bare tuple equality would also match
+    a plain tuple or another record type with the same field values, such
+    as `Frac(1, 3)` and `ReducedAxisLinkWitness(1, 3)`.  Hashing stays the
+    tuple's."""
+    cls.__eq__, cls.__ne__ = _same_type_eq, _same_type_ne
+    return cls
+
+
+class Frozen:
+    """Base of the immutable plain-class records.
+
+    A subclass names its value fields in `_fields` and stores its
+    attributes in `__init__` with `vars(self).update`; equality, hashing
+    and `repr` use the class and the `_fields` values, and assignment or
+    deletion of an attribute raises AttributeError.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class TCoeffs(NamedTuple):
@@ -80,7 +133,9 @@ def lp_to_str(f: TCoeffs, var: str = "t") -> str:
     return " ".join(parts) or "0"
 
 
-_TERM_RE = re.compile(
+# Compiled on first use (the re module caches it): no command parses
+# polynomials, so a start should not pay for the compilation.
+_TERM_PATTERN = (
     r"\s*(?P<sign>[+-]?)\s*(?:"
     r"(?P<coeff>\d+)\s*\*?\s*t(?:\^(?P<exp1>-?\d+))?"
     r"|t(?:\^(?P<exp2>-?\d+))?"
@@ -98,8 +153,9 @@ def lp_parse(text: str) -> TCoeffs:
         raise DomainError("empty polynomial text")
     if s == "0":
         return TCoeffs(0, ())
+    term = re.compile(_TERM_PATTERN)
     while pos < len(s):
-        m = _TERM_RE.match(s, pos)
+        m = term.match(s, pos)
         if m is None:
             raise DomainError(f"cannot parse polynomial at {s[pos:]!r}")
         sign = -1 if m.group("sign") == "-" else 1

@@ -9,11 +9,10 @@ butterfly link's determinant is, which the 2-bridge arithmetic guarantees.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .laurent import (
-    InvariantViolation, RationalFn, TCoeffs, ZCoeffs, lp_to_str, zp_to_str,
+    Frozen, InvariantViolation, RationalFn, TCoeffs, ZCoeffs, lp_to_str, zp_to_str,
 )
 from .presentations import I1Presentation, continuant_matrix, continuant_row
 from .rationals import Frac
@@ -109,18 +108,18 @@ def certified_moth(lhat: ZCoeffs, knot: tuple[tuple[ZCoeffs, ZCoeffs], ...],
     return RationalFn(TCoeffs(val, tuple(num)), TCoeffs(0, tuple(den)))
 
 
-@dataclass(frozen=True)
-class OrderCertificate:
-    verdict: str
-    conway_lhat: ZCoeffs
-    determinant_lhat: int
-    moth: RationalFn
-    conway_knot: ZCoeffs  # carried for the report, not serialized here
-    determinant_knot: int
+class OrderCertificate(Frozen):
+    # conway_knot is carried for the report, not serialized here.
+    _fields = ("verdict", "conway_lhat", "determinant_lhat", "moth",
+               "conway_knot", "determinant_knot")
 
-    def __post_init__(self):
-        if self.verdict == INFINITE_ORDER and not self.conway_lhat:
+    def __init__(self, verdict: str, conway_lhat: ZCoeffs, determinant_lhat: int,
+                 moth: RationalFn, conway_knot: ZCoeffs, determinant_knot: int):
+        if verdict == INFINITE_ORDER and not conway_lhat:
             raise InvariantViolation("infinite-order verdict with zero witness")
+        vars(self).update(verdict=verdict, conway_lhat=conway_lhat,
+                          determinant_lhat=determinant_lhat, moth=moth,
+                          conway_knot=conway_knot, determinant_knot=determinant_knot)
 
     def to_json(self) -> dict:
         return {

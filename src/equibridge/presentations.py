@@ -7,11 +7,10 @@ c_i non-zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .laurent import DomainError, InvariantViolation, ZCoeffs
+from .laurent import DomainError, Frozen, InvariantViolation, ZCoeffs, typed_equality
 from .rationals import Frac, EvenCF, _int_field, eval_cf, even_cf, two_bridge_equiv
 
 
@@ -19,49 +18,43 @@ class ParseError(DomainError):
     """Input text failed validation; carries a human-readable position."""
 
 
-@dataclass(frozen=True)
-class I1Presentation:
+class I1Presentation(Frozen):
     """Twist parameters plus the derived quantities used by every invariant.
 
     sigma[i] is half the partial sum of the alphas (an integer), b is the
     full sum, delta[i] is c_i mod 2, and eps[i] is the suffix product of
-    (-1)**delta[j] for j >= i.
+    (-1)**delta[j] for j >= i.  Two presentations are equal when their
+    alphas and cs are.
     """
 
-    alphas: tuple[int, ...]
-    cs: tuple[int, ...]
-    sigma: tuple[int, ...] = field(init=False)
-    b: int = field(init=False)
-    delta: tuple[int, ...] = field(init=False)
-    eps: tuple[int, ...] = field(init=False)
+    _fields = ("alphas", "cs")
 
-    def __post_init__(self):
-        if len(self.alphas) == 0:
+    def __init__(self, alphas: tuple[int, ...], cs: tuple[int, ...]):
+        if len(alphas) == 0:
             raise ParseError("presentation needs at least one twist pair")
-        if len(self.alphas) != len(self.cs):
+        if len(alphas) != len(cs):
             raise ParseError(
-                f"length mismatch: {len(self.alphas)} alphas vs {len(self.cs)} cs"
+                f"length mismatch: {len(alphas)} alphas vs {len(cs)} cs"
             )
-        for i, a in enumerate(self.alphas):
+        for i, a in enumerate(alphas):
             if a == 0 or a % 2 != 0:
                 raise ParseError(f"alpha[{i + 1}] = {a} must be even and non-zero")
-        for i, c in enumerate(self.cs):
+        for i, c in enumerate(cs):
             if c == 0:
                 raise ParseError(f"c[{i + 1}] must be non-zero")
         run = 0
         sig = []
-        for a in self.alphas:
+        for a in alphas:
             run += a
             sig.append(run // 2)
-        object.__setattr__(self, "sigma", tuple(sig))
-        object.__setattr__(self, "b", run)
-        object.__setattr__(self, "delta", tuple(c % 2 for c in self.cs))
-        eps = [1] * len(self.cs)
+        delta = tuple(c % 2 for c in cs)
+        eps = [1] * len(cs)
         acc = 1
-        for i in range(len(self.cs) - 1, -1, -1):
-            acc *= -1 if self.delta[i] == 1 else 1
+        for i in range(len(cs) - 1, -1, -1):
+            acc *= -1 if delta[i] == 1 else 1
             eps[i] = acc
-        object.__setattr__(self, "eps", tuple(eps))
+        vars(self).update(alphas=alphas, cs=cs, sigma=tuple(sig), b=run,
+                          delta=delta, eps=tuple(eps))
 
     @property
     def n(self) -> int:
@@ -174,8 +167,8 @@ def conway_continuant(entries: Sequence[int], sign: int) -> ZCoeffs:
     return continuant_row(entries, sign)[0]
 
 
-@dataclass(frozen=True)
-class InversionPair:
+@typed_equality
+class InversionPair(NamedTuple):
     """The one or two strong-inversion presentations of a 2-bridge knot."""
 
     inv1: I1Presentation

@@ -6,15 +6,14 @@ continued fractions with zero entries evaluate without special cases.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .laurent import DomainError, InvariantViolation
+from .laurent import DomainError, InvariantViolation, typed_equality
 
 
-@dataclass(frozen=True)
-class Frac:
+@typed_equality
+class Frac(NamedTuple):
     """A reduced fraction p/q, q >= 0, with infinity represented as 1/0."""
 
     p: int
@@ -103,8 +102,8 @@ def cf_parse(text: str) -> list[int]:
             for i, tok in enumerate(body.split(","), start=1)]
 
 
-@dataclass(frozen=True)
-class EvenCF:
+@typed_equality
+class EvenCF(NamedTuple):
     """An all-even continued fraction expansion of p/q_even.
 
     q_even is the unique even representative of q mod p in (-|p|, |p|); the

@@ -1,9 +1,10 @@
-"""Seifert surfaces of oriented plat diagrams: circles, the Seifert matrix,
-the link determinant, and the Conway polynomial.
+"""Seifert surfaces of oriented plat diagrams: circles, the Seifert matrix
+and the link determinant.
 
-The determinant backs the cross-checks of `moth.order_certificate`; the
-Conway polynomial is an independent oracle for the continuant formula
-`presentations.conway_continuant`, and only tests call it.
+The determinant backs the geometric check of `cli.analyze_presentation`
+and `verify`'s determinant suite.  The tests read the Conway polynomial
+off the same matrix (tests/seifert_conway.py), an independent oracle for
+the continuant formula `presentations.conway_continuant`.
 
 The surface is the usual one: a disk for every circle of the oriented
 smoothing (nested circles stacked), a half-twisted band for every crossing.
@@ -22,11 +23,9 @@ are settled exactly on the diagrams' integer polylines.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .laurent import DomainError, InvariantViolation, ZCoeffs
+from .laurent import DomainError, InvariantViolation, typed_equality
 from .diagrams import OrientedPD, Point
 
 # Cyclic offsets of parallel strands where several cycles share one band:
@@ -34,8 +33,8 @@ from .diagrams import OrientedPD, Point
 _TIE_SIGN = (1, -1)
 
 
-@dataclass
-class SeifertData:
+@typed_equality
+class SeifertData(NamedTuple):
     circle_count: int
     crossing_count: int
     matrix: list[list[int]]  # square, size crossing_count - circle_count + 1
@@ -68,12 +67,18 @@ def _point_inside(pt: Point, poly: list[Point]) -> bool:
     return hits % 2 == 1
 
 
-@dataclass
 class _Circle:
-    ident: int
-    points: list[Point]
-    connectors: list[int]  # crossing ids in traversal order
-    ccw: bool  # strand traversal is counterclockwise
+    """connectors: crossing ids in traversal order; ccw: the strand
+    traversal is counterclockwise."""
+
+    # A plain class, not a NamedTuple: the containment loop reads `points`
+    # once per pair of circles, and a slot reads faster than a tuple field.
+    __slots__ = ("ident", "points", "connectors", "ccw")
+
+    def __init__(self, ident: int, points: list[Point], connectors: list[int],
+                 ccw: bool):
+        self.ident, self.points = ident, points
+        self.connectors, self.ccw = connectors, ccw
 
 
 class _Band:
@@ -134,14 +139,13 @@ def seifert_circles(pd: OrientedPD) -> tuple[list[_Circle], list[_Band]]:
             eid = nxt
         if points[0] == points[-1]:
             points.pop()
-        circles.append(_Circle(len(circles), points, connectors, False))
+        circles.append(_Circle(len(circles), points, connectors,
+                               _shoelace2(points) > 0))
     for loop in pd.free_loops:
         pts = list(loop)
         if pts[0] == pts[-1]:
             pts.pop()
-        circles.append(_Circle(len(circles), pts, [], False))
-    for c in circles:
-        c.ccw = _shoelace2(c.points) > 0
+        circles.append(_Circle(len(circles), pts, [], _shoelace2(pts) > 0))
     return circles, bands
 
 
@@ -156,19 +160,23 @@ def _containment(circles: list[_Circle]) -> list[list[bool]]:
     return inside
 
 
-@dataclass
-class _CycleVisit:
+class _CycleVisit(NamedTuple):
     circle: int
     enter_key: tuple
     leave_key: tuple
 
 
-@dataclass
 class _Cycle:
-    index: int
-    band_dirs: dict[int, int]  # band id -> +1 traversed end0 -> end1
-    visits: dict[int, _CycleVisit]  # circle id -> visit
-    arrivals: dict[int, bool]  # band id -> True if traversal arrives at its outer circle
+    """One fundamental cycle: band_dirs maps band id -> +1 when traversed
+    end0 -> end1, visits maps circle id -> its `_CycleVisit`."""
+
+    __slots__ = ("index", "band_dirs", "visits")
+
+    def __init__(self, index: int, band_dirs: dict[int, int],
+                 visits: dict[int, _CycleVisit]):
+        self.index = index
+        self.band_dirs = band_dirs
+        self.visits = visits
 
 
 def _check_connected(pd: OrientedPD, circles, bands):
@@ -276,7 +284,7 @@ def _make_cycle(index: int, walk: list[tuple[_Band, int]]) -> _Cycle:
             raise InvariantViolation("cycle visits a circle twice")
         visits[circle] = _CycleVisit(circle, (band.ident, arrive_end),
                                      (nxt_band.ident, leave_end))
-    return _Cycle(index, band_dirs, visits, {})
+    return _Cycle(index, band_dirs, visits)
 
 
 def seifert_matrix_data(pd: OrientedPD) -> SeifertData:
@@ -414,81 +422,3 @@ def determinant(data: SeifertData) -> int:
     g = data.rank
     sym = [[v[i][j] + v[j][i] for j in range(g)] for i in range(g)]
     return abs(_bareiss_det(sym))
-
-
-def _interp_poly(points: list[tuple[int, int]]) -> list[int]:
-    """Newton interpolation in integers; asserts integer coefficients.
-
-    Divided differences of an integer polynomial at integer nodes are
-    integers, so every division must be exact.
-    """
-    xs = [x for x, _ in points]
-    dd = [y for _, y in points]
-    for k in range(1, len(xs)):
-        for i in range(len(xs) - 1, k - 1, -1):
-            q, r = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - k])
-            if r:
-                raise InvariantViolation("non-integer interpolated coefficient")
-            dd[i] = q
-    # Horner on the Newton form: p = dd[0] + (x - x0)(dd[1] + (x - x1)(...)).
-    out: list[int] = []
-    for k in range(len(xs) - 1, -1, -1):
-        shifted = [0] + out
-        for j, c in enumerate(out):
-            shifted[j] -= xs[k] * c
-        shifted[0] += dd[k]
-        out = shifted
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def conway_polynomial(data: SeifertData) -> ZCoeffs:
-    """The normalized skein polynomial det(1/x V - x V^T) with z = x - 1/x.
-
-    An oracle: the production path reads Conway polynomials off the
-    continued fraction (`presentations.conway_continuant`).
-
-    The global sign of the odd (2-component) case follows the skein
-    normalization nabla(L+) - nabla(L-) = z nabla(L0); the transposed form
-    of the determinant is the one that agrees with it for this push-off
-    convention.
-    """
-    v = data.matrix
-    g = data.rank
-    if g == 0:
-        return (1,) if data.mu == 1 else ()
-    # P(w) = det(V - w V^T) has degree <= g; evaluate and interpolate.
-    pts = []
-    w = 0
-    while len(pts) < g + 1:
-        m = [[v[i][j] - w * v[j][i] for j in range(g)] for i in range(g)]
-        pts.append((w, _bareiss_det(m)))
-        w = -w + (0 if w > 0 else 1)  # 0, 1, -1, 2, -2, ...
-    p = _interp_poly(pts)
-    # nabla = x^(-g) P(x^2), rewritten in z = x - 1/x by peeling off the
-    # top term: z^m = sum_j (-1)^j C(m, j) x^(m - 2j).  f[g + e] is the
-    # coefficient of x^e.
-    f = [0] * (2 * g + 1)
-    f[0::2] = p + [0] * (g + 1 - len(p))
-    acc = [0] * (g + 1)
-    for m in range(g, -1, -1):
-        c = acc[m] = f[g + m]
-        if c:
-            for j in range(m + 1):
-                f[g + m - 2 * j] -= (-1) ** j * comb(m, j) * c
-    if any(f):
-        raise InvariantViolation("Seifert determinant is not a z-polynomial")
-    while acc and acc[-1] == 0:
-        acc.pop()
-    nabla = tuple(acc)
-    if data.mu == 1:
-        if any(nabla[1::2]):
-            raise InvariantViolation("knot Conway polynomial has odd terms")
-        if nabla[:1] != (1,):
-            raise InvariantViolation("knot Conway polynomial not normalized")
-    elif data.mu == 2:
-        if any(nabla[0::2]):
-            raise InvariantViolation("2-link Conway polynomial has even terms")
-    return nabla
-

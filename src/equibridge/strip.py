@@ -13,10 +13,9 @@ Laurent-polynomial ring itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .laurent import DomainError, TCoeffs, lp
+from .laurent import DomainError, Frozen, TCoeffs, lp, typed_equality
 from .presentations import I1Presentation
 
 TOP = "top"
@@ -27,8 +26,8 @@ class StripError(DomainError):
     """Malformed strip diagram."""
 
 
-@dataclass(frozen=True)
-class Endpoint:
+@typed_equality
+class Endpoint(NamedTuple):
     edge: str
     slot: int
 
@@ -39,44 +38,43 @@ class Endpoint:
         return f"{self.edge}:{self.slot}"
 
 
-@dataclass(frozen=True)
-class Arc:
+@typed_equality
+class Arc(NamedTuple):
     ident: int
     first: Endpoint
     second: Endpoint
     role: str = ""
 
 
-@dataclass(frozen=True)
-class Crossing:
+@typed_equality
+class Crossing(NamedTuple):
     over: int
     under: int
     listed_sign: int  # sign if both arcs run first -> second endpoint
 
 
-@dataclass(frozen=True)
-class StripDiagram:
-    slots: int
-    arcs: tuple[Arc, ...]
-    crossings: tuple[Crossing, ...]
-    start_arc: int
-    start_forward: bool  # traverse the start arc first -> second?
-    # Builder self-report ("box 2", "rail-vertical"); not part of the wire
-    # format and ignored by equality.
-    crossing_roles: tuple[str, ...] = field(default=(), compare=False)
+class StripDiagram(Frozen):
+    """A validated strip.  start_forward says whether the walk traverses
+    the start arc first -> second.  crossing_roles is the builder's
+    self-report ("box 2", "rail-vertical"); it is not part of the wire
+    format, and equality ignores it."""
 
-    def __post_init__(self):
+    _fields = ("slots", "arcs", "crossings", "start_arc", "start_forward")
+
+    def __init__(self, slots: int, arcs: tuple[Arc, ...],
+                 crossings: tuple[Crossing, ...], start_arc: int,
+                 start_forward: bool, crossing_roles: tuple[str, ...] = ()):
         seen: dict[tuple[str, int], int] = {}
         ids = set()
-        for arc in self.arcs:
+        for arc in arcs:
             if arc.ident in ids:
                 raise StripError(f"duplicate arc id {arc.ident}")
             ids.add(arc.ident)
             for ep in (arc.first, arc.second):
                 if ep.edge not in (TOP, BOTTOM):
                     raise StripError(f"bad edge {ep.edge!r}")
-                if not 1 <= ep.slot <= self.slots:
-                    raise StripError(f"slot {ep.slot} out of range 1..{self.slots}")
+                if not 1 <= ep.slot <= slots:
+                    raise StripError(f"slot {ep.slot} out of range 1..{slots}")
                 key = (ep.edge, ep.slot)
                 if key in seen:
                     raise StripError(
@@ -84,22 +82,25 @@ class StripDiagram:
                     )
                 seen[key] = arc.ident
         for edge in (TOP, BOTTOM):
-            for s in range(1, self.slots + 1):
+            for s in range(1, slots + 1):
                 if (edge, s) not in seen:
                     raise StripError(f"slot {s} unused on the {edge} edge")
-        for cr in self.crossings:
+        for cr in crossings:
             if cr.over not in ids or cr.under not in ids:
                 raise StripError(
                     f"crossing references unknown arc ({cr.over}, {cr.under})"
                 )
             if cr.listed_sign not in (1, -1):
                 raise StripError(f"crossing sign must be +-1, got {cr.listed_sign}")
-        if self.start_arc not in ids:
-            raise StripError(f"start arc {self.start_arc} does not exist")
+        if start_arc not in ids:
+            raise StripError(f"start arc {start_arc} does not exist")
+        vars(self).update(slots=slots, arcs=arcs, crossings=crossings,
+                          start_arc=start_arc, start_forward=start_forward,
+                          crossing_roles=crossing_roles)
 
 
-@dataclass(frozen=True)
-class LabeledStrip:
+@typed_equality
+class LabeledStrip(NamedTuple):
     diagram: StripDiagram
     labels: dict[int, int]
     forward: dict[int, bool]  # traversal is first -> second?

@@ -23,9 +23,10 @@ from equibridge.presentations import (
     parse_i1,
 )
 from equibridge.rationals import eval_cf, schubert_classes
-from equibridge.seifert import conway_polynomial, determinant, seifert_matrix_data
+from equibridge.seifert import determinant, seifert_matrix_data
 from equibridge.strip import eta_oracle
 
+from seifert_conway import conway_polynomial
 from skein_oracle import skein_conway
 
 MAX_P = 45

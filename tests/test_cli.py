@@ -1,4 +1,4 @@
-import dataclasses
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -140,11 +140,14 @@ def test_fractions_evaluated_once_per_presentation(monkeypatch, capsys):
 
 
 def test_import_leaves_fractions_out():
+    # Modules that no command needs at start: each costs cold-start time.
+    unwanted = ["fractions", "dataclasses", "inspect", "logging",
+                "concurrent.futures", "csv"]
     code = ("import sys, equibridge.cli; "
-            "print('fractions' in sys.modules)")
+            f"print([m for m in {unwanted!r} if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=CHILD_ENV)
-    assert proc.returncode == 0 and proc.stdout == "False\n"
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 
 def test_moth_import_leaves_the_geometry_out():
@@ -275,7 +278,9 @@ def test_verify_moth_suite_fails_a_constant_term_in_nabla_lhat(monkeypatch, caps
 
     def with_constant_term(pres):
         cert = real(pres)
-        return dataclasses.replace(cert, conway_lhat=(1,) + cert.conway_lhat[1:])
+        return moth.OrderCertificate(
+            cert.verdict, (1,) + cert.conway_lhat[1:], cert.determinant_lhat,
+            cert.moth, cert.conway_knot, cert.determinant_knot)
 
     monkeypatch.setattr(cli, "order_certificate", with_constant_term)
     assert cli.main(["verify", "--samples", "10", "--seed", "1"]) == 1
@@ -331,8 +336,7 @@ class RecordingPool:
 ])
 def test_table_parallel_pool_is_capped(monkeypatch, capsys, parallel, cpus,
                                        expected):
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     assert cli.main(["table", "--max-p", "9", "--parallel", str(parallel)]) == 0

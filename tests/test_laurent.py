@@ -21,7 +21,9 @@ from equibridge.diagrams import build_knot_diagram, build_lhat_diagram
 from equibridge.moth import order_certificate
 from equibridge.oracles import rf_make, subs_inv_equal, z_to_t
 from equibridge.presentations import I1Presentation, conway_continuant, parse_i1
-from equibridge.seifert import conway_polynomial, seifert_matrix_data
+from equibridge.seifert import seifert_matrix_data
+
+from seifert_conway import conway_polynomial
 
 ZERO = TCoeffs(0, ())
 ONE = TCoeffs(0, (1,))

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equibridge.butterfly import AxisLinkWitness, ReducedAxisLinkWitness
 from equibridge.diagrams import build_knot_diagram, build_lhat_diagram
 from equibridge.laurent import DomainError, zp_parse
 from equibridge.moth import _det_from_conway
@@ -18,7 +19,9 @@ from equibridge.presentations import (
     parse_i1,
 )
 from equibridge.rationals import Frac, schubert_classes, two_bridge_equiv
-from equibridge.seifert import conway_polynomial, determinant, seifert_matrix_data
+from equibridge.seifert import determinant, seifert_matrix_data
+
+from seifert_conway import conway_polynomial
 
 
 def test_parse_and_derived_fields():
@@ -50,6 +53,32 @@ def test_round_trip_printing():
     for text in ("2;1", "2,4;1,1", "-2,4,-6;1,-2,3"):
         assert str(parse_i1(text)) == f"I1({text})"
         assert parse_i1(str(parse_i1(text))) == parse_i1(text)
+
+
+def test_records_have_value_semantics():
+    """Equality, hashing and immutability that `knot_report`'s memo and the
+    benchmark's presentation count rely on."""
+    a, b = I1Presentation((2, 4), (1, -1)), parse_i1("2,4;1,-1")
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    a.knot_fraction  # now cached on a only
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert a != I1Presentation((2, 4), (1, 1)) and repr(a) != repr(parse_i1("2;1"))
+    assert {a: 1}[b] == 1
+    with pytest.raises(AttributeError):
+        a.alphas = (2,)
+    with pytest.raises(AttributeError):
+        del a.cs
+    assert a.alphas == (2, 4)
+
+    f = Frac.make(6, -4)
+    assert f == Frac(-3, 2) and hash(f) == hash(Frac(-3, 2)) and f != Frac(3, 2)
+    with pytest.raises(AttributeError):
+        f.p = 3
+    # Records of different types never compare equal, even with equal fields.
+    assert AxisLinkWitness(1, "K") != ReducedAxisLinkWitness(1, "K")
+    assert ReducedAxisLinkWitness(1, 3) != Frac(1, 3) != (1, 3)
+    assert not ReducedAxisLinkWitness(1, 3) == Frac(1, 3)
+    assert ReducedAxisLinkWitness(1, 3) == ReducedAxisLinkWitness(1, 3)
 
 
 def test_delta_of_negative_c():

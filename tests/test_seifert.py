@@ -11,12 +11,11 @@ from equibridge.laurent import DomainError, InvariantViolation, zp_parse
 from equibridge.seifert import (
     _bareiss_det,
     _check_connected,
-    _interp_poly,
-    conway_polynomial,
     determinant,
     seifert_matrix_data,
 )
 
+from seifert_conway import conway_polynomial, interp_poly
 from skein_oracle import skein_conway
 
 
@@ -125,7 +124,7 @@ def test_alexander_symmetry_of_seifert_determinant():
         # interpolate P(w) = det(V - w V^T) through integer points
         pts = [(w, _bareiss_det([[v[i][j] - w * v[j][i] for j in range(g)]
                                  for i in range(g)])) for w in range(0, g + 1)]
-        p = _interp_poly(pts)
+        p = interp_poly(pts)
         p = p + [0] * (g + 1 - len(p))
         sign = (-1) ** g
         assert all(p[k] == sign * p[g - k] for k in range(g + 1))
@@ -235,7 +234,7 @@ def test_interp_poly_recovers_integer_polynomials(coeffs, extra):
     expected = list(coeffs)
     while expected and expected[-1] == 0:
         expected.pop()
-    assert _interp_poly(pts) == expected
+    assert interp_poly(pts) == expected
 
 
 def test_interp_poly_rejects_non_integer_coefficients():
@@ -243,4 +242,4 @@ def test_interp_poly_rejects_non_integer_coefficients():
     # coefficients.
     pts = [(x, (x * x + x) // 2) for x in _conway_nodes(3)]
     with pytest.raises(InvariantViolation):
-        _interp_poly(pts)
+        interp_poly(pts)
