@@ -8,11 +8,20 @@ deck translate the arc belongs to), every crossing contributes
 sign * t^(label(over) - label(under)), and the constant term is fixed by
 requiring the total to vanish at t = 1.
 
+A presentation's strip is encoded once, as the walk that builds it: O(n) run
+records, one per group of vertical arcs, one per box arc with its 2|c|
+crossings, and a few for the final return group.  `build_strip` expands the
+runs into the full `StripDiagram`, which `label_strip`, `strip_census`,
+`print_strip` and `oracle eta` read arc by arc.  `eta_oracle` walks the
+runs directly, at a cost linear in the twist pairs plus the degree of eta,
+and the tests hold it equal to the labelled full strip.
+
 This code path shares no arithmetic with the closed-form formula beyond the
-Laurent-polynomial ring itself.
+Laurent-polynomial ring itself, and imports nothing from `butterfly`.
 """
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .laurent import DomainError, Frozen, TCoeffs, lp, typed_equality
@@ -161,118 +170,145 @@ def eta_from_strip(ls: LabeledStrip) -> TCoeffs:
     out = [0] * (2 * top + 1)
     for _, _, eps, d in census:
         out[top + d] += eps
-    # Subtracting f(1) from the constant term overwrites the d = 0 terms.
+    return _vanishing_at_one(top, out)
+
+
+def _vanishing_at_one(top: int, out: list[int]) -> TCoeffs:
+    """The polynomial sum out[i] * t^(i - top), its constant term replaced
+    so that it vanishes at t = 1; this overwrites the d = 0 terms."""
     out[top] -= sum(out)
     return lp(-top, out)
 
 
 # ---------------------------------------------------------------------------
-# Builder: the fundamental-domain strip of a presentation's butterfly link.
+# The walk of a presentation's strip, as run records, and its two readers.
 # ---------------------------------------------------------------------------
 
-
-class _StripBuilder:
-    def __init__(self):
-        self.arcs: list[Arc] = []
-        self.crossings: list[Crossing] = []
-        self.crossing_roles: list[str] = []
-        self.next_slot = 1
-        self.prev_exit: Optional[Endpoint] = None
-
-    def fresh_slot(self) -> int:
-        s = self.next_slot
-        self.next_slot += 1
-        return s
-
-    def add_arc(self, exit_edge: str, role: str, exit_slot: Optional[int] = None) -> int:
-        """Append the next walk arc: entry forced by the previous exit."""
-        ident = len(self.arcs) + 1
-        if self.prev_exit is None:
-            entry = Endpoint(TOP, self.fresh_slot())
-        else:
-            entry = self.prev_exit.opposite()
-        exit_ep = Endpoint(exit_edge, exit_slot if exit_slot else self.fresh_slot())
-        self.arcs.append(Arc(ident, entry, exit_ep, role))
-        self.prev_exit = exit_ep
-        return ident
-
-    def cross_over_rail(self, arc_id: int, rail_id: int, sign: int):
-        self.crossings.append(Crossing(arc_id, rail_id, sign))
-        self.crossing_roles.append("rail-vertical")
-
-    def box(self, rail_id: int, arc_id: int, index: int, c: int):
-        """A twist box of 2|c| crossings between the rail and the box arc,
-        alternating which strand is on top; the strands are anti-parallel so
-        every crossing carries the same sign."""
-        sign = 1 if c > 0 else -1
-        for k in range(2 * abs(c)):
-            if k % 2 == 0:
-                self.crossings.append(Crossing(arc_id, rail_id, sign))
-            else:
-                self.crossings.append(Crossing(rail_id, arc_id, sign))
-            self.crossing_roles.append(f"box {index}")
+# Every crossing is between the rail (arc 1, label 0) and another arc.
+RAIL = 1
 
 
-def build_strip(pres: I1Presentation) -> StripDiagram:
-    """Strip diagram of the butterfly link's fundamental domain.
+def _walk_runs(pres: I1Presentation) -> list[tuple[str, int, str, int, int, int]]:
+    """The fundamental-domain strip of a presentation's butterfly link, as
+    the walk that builds it.
 
     The label-0 rail enters at the top right and runs leftward through one
     box of 2|c_i| crossings per twist pair.  Group i consists of |alpha_i|/2
     arcs riding between the edges (the last one feeds box i); vertical arcs
     pass over the rail, one crossing each.  After box n a return group of
-    |sigma_n| + 1 arcs brings the walk back to the rail's start.
+    |sigma_n| + 1 arcs brings the walk back to the rail's start: the last
+    arc leaves by the bottom edge's slot 1, opposite the rail's entry.
+
+    One plain tuple per run of arcs, in walk order and none empty:
+    (role, count, exit_edge, rail_sign, c, drop_sign).  Each of the count
+    arcs leaves by exit_edge and, when rail_sign is non-zero, passes over
+    the rail once with that sign.  A box arc is a run of one with c != 0:
+    after its riser, if any, it meets the rail in 2|c| crossings, alternately
+    over and under; the strands are anti-parallel, so every one has sign
+    sign(c).  It then crosses the rail once more with drop_sign when that is
+    non-zero.
     """
-    b = _StripBuilder()
-    n = pres.n
-    sigma_n = pres.sigma[-1]
-
-    rail = b.add_arc(TOP if pres.alphas[0] > 0 else BOTTOM, "rail")
-
+    alphas, cs, n = pres.alphas, pres.cs, pres.n
+    runs = [("rail", 1, TOP if alphas[0] > 0 else BOTTOM, 0, 0, 0)]
     for i in range(n):
-        a = pres.alphas[i]
-        up = a > 0
-        h = abs(a) // 2
-        ride_exit = TOP if up else BOTTOM
-        for k in range(h - 1):
-            arc = b.add_arc(ride_exit, f"group {i + 1} vertical")
-            b.cross_over_rail(arc, rail, 1 if up else -1)
-        if i + 1 < n:
-            exit_edge = TOP if pres.alphas[i + 1] > 0 else BOTTOM
-        else:
-            exit_edge = TOP
-        box_arc = b.add_arc(exit_edge, f"box {i + 1} arc")
-        if up:
-            b.cross_over_rail(box_arc, rail, 1)  # riser crosses the rail
-        b.box(rail, box_arc, i + 1, pres.cs[i])
-        if i + 1 < n and exit_edge == BOTTOM:
-            b.cross_over_rail(box_arc, rail, -1)  # exit drops past the rail
-
+        up = alphas[i] > 0
+        h = abs(alphas[i]) // 2
+        if h > 1:
+            runs.append((f"group {i + 1} vertical", h - 1, TOP if up else BOTTOM,
+                         1 if up else -1, 0, 0))
+        exit_edge = TOP if i + 1 == n or alphas[i + 1] > 0 else BOTTOM
+        # A riser crosses the rail on its way up; an exit drops past it.
+        runs.append((f"box {i + 1} arc", 1, exit_edge, 1 if up else 0, cs[i],
+                     -1 if exit_edge == BOTTOM else 0))
+    sigma_n = pres.sigma[-1]
     if sigma_n > 0:
-        b.add_arc(BOTTOM, "final return")
-        for k in range(sigma_n, 0, -1):
-            closing = k == 1
-            arc = b.add_arc(BOTTOM, "final vertical", exit_slot=1 if closing else None)
-            b.cross_over_rail(arc, rail, -1)
+        runs.append(("final return", 1, BOTTOM, 0, 0, 0))
+        runs.append(("final vertical", sigma_n, BOTTOM, -1, 0, 0))
     else:
-        for k in range(sigma_n + 1, 1):
-            arc = b.add_arc(TOP, "final vertical")
-            if k != 0:
-                b.cross_over_rail(arc, rail, 1)
-        b.add_arc(BOTTOM, "final return", exit_slot=1)
+        if sigma_n < -1:
+            runs.append(("final vertical", -sigma_n - 1, TOP, 1, 0, 0))
+        if sigma_n < 0:  # the label-0 vertical does not cross the rail
+            runs.append(("final vertical", 1, TOP, 0, 0, 0))
+        runs.append(("final return", 1, BOTTOM, 0, 0, 0))
+    return runs
 
+
+def build_strip(pres: I1Presentation) -> StripDiagram:
+    """Strip diagram of the butterfly link's fundamental domain: every arc
+    and crossing of `_walk_runs`, each arc entering opposite the previous
+    arc's exit and leaving by a fresh slot."""
+    runs = _walk_runs(pres)
+    total = sum(run[1] for run in runs)
+    arcs: list[Arc] = []
+    crossings: list[Crossing] = []
+    roles: list[str] = []
+    entry, slot, boxes = Endpoint(TOP, 1), 2, 0
+    for role, count, edge, rail_sign, c, drop_sign in runs:
+        for _ in range(count):
+            ident = len(arcs) + 1
+            if ident == total:
+                exit_ep = Endpoint(edge, 1)
+            else:
+                exit_ep, slot = Endpoint(edge, slot), slot + 1
+            arcs.append(Arc(ident, entry, exit_ep, role))
+            entry = exit_ep.opposite()
+            if rail_sign:
+                crossings.append(Crossing(ident, RAIL, rail_sign))
+                roles.append("rail-vertical")
+        if c:
+            boxes += 1
+            sign = 1 if c > 0 else -1
+            crossings += [Crossing(ident, RAIL, sign),
+                          Crossing(RAIL, ident, sign)] * abs(c)
+            roles += [f"box {boxes}"] * (2 * abs(c))
+        if drop_sign:
+            crossings.append(Crossing(ident, RAIL, drop_sign))
+            roles.append("rail-vertical")
     return StripDiagram(
-        slots=b.next_slot - 1,
-        arcs=tuple(b.arcs),
-        crossings=tuple(b.crossings),
-        start_arc=rail,
+        slots=slot - 1,
+        arcs=tuple(arcs),
+        crossings=tuple(crossings),
+        start_arc=RAIL,
         start_forward=True,
-        crossing_roles=tuple(b.crossing_roles),
+        crossing_roles=tuple(roles),
     )
 
 
 def eta_oracle(pres: I1Presentation) -> TCoeffs:
-    """Convenience: build, label, and sum."""
-    return eta_from_strip(label_strip(build_strip(pres)))
+    """eta of the presentation's strip, read off `_walk_runs` without
+    expanding it; equal to `eta_from_strip(label_strip(build_strip(pres)))`.
+
+    Every arc runs forward, so a crossing's sign is its listed sign and its
+    d is the label of the arc that is not the rail.  Along a run the labels
+    step by +1 after each top exit and -1 after each bottom exit, so a run
+    of crossing verticals adds one contiguous block of rail_sign terms, and
+    a box arc labelled L adds c at d = -L and c plus its riser and drop at
+    d = L.  The cost is linear in the runs plus the degree of eta.
+    """
+    label = top = 0
+    edge = TOP
+    blocks = []  # (lowest d, highest d, coefficient of each t^d between)
+    for _, count, edge, rail_sign, c, drop_sign in _walk_runs(pres):
+        step = 1 if edge == TOP else -1
+        last = label + (count - 1) * step
+        if rail_sign:
+            blocks.append((label, last, rail_sign) if step > 0
+                          else (last, label, rail_sign))
+        if c:
+            blocks.append((-last, -last, c))
+            blocks.append((last, last, c + drop_sign))
+        top = max(top, abs(label), abs(last))
+        label = last + step
+    if edge != BOTTOM:
+        raise StripError("label walk does not return to the rail")
+    if label:
+        raise StripError(f"label walk closes with net shift {label}")
+    diff = [0] * (2 * top + 2)
+    for lo, hi, coeff in blocks:
+        diff[top + lo] += coeff
+        diff[top + hi + 1] -= coeff
+    diff.pop()
+    return _vanishing_at_one(top, list(accumulate(diff)))
 
 
 # ---------------------------------------------------------------------------

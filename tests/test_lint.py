@@ -1,8 +1,11 @@
-"""Static check of the package source: no floating point anywhere.
+"""Static checks of the package source.
 
-Every quantity is an integer or an exact fraction of integers, so the
-source may not divide with `/`, write a float literal, or name `float`,
-`Fraction` or `Decimal`.
+No floating point anywhere: every quantity is an integer or an exact
+fraction of integers, so the source may not divide with `/`, write a float
+literal, or name `float`, `Fraction` or `Decimal`.
+
+The strip oracle and the closed formula are two routes to the butterfly
+polynomial, so `strip` imports nothing from `butterfly`.
 """
 import ast
 from pathlib import Path
@@ -45,3 +48,35 @@ def test_float_uses_catches_each_kind():
                    "import decimal\nx = decimal.Decimal(1)",
                    "from fractions import Fraction", "from x import y as Fraction"):
         assert float_uses(source), source
+
+
+def imported_modules(source: str, package: str) -> set[str]:
+    """Absolute names of the modules that `source`, a module of `package`,
+    imports, including those it imports names from."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package if node.level else ""
+            module = ".".join(filter(None, (base, node.module)))
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_strip_imports_nothing_from_butterfly():
+    source = (Path(equibridge.__file__).parent / "strip.py").read_text()
+    imported = imported_modules(source, "equibridge")
+    assert "equibridge.presentations" in imported
+    assert "equibridge.butterfly" not in imported
+
+
+def test_imported_modules_resolves_each_form():
+    for source in ("from .butterfly import butterfly_polynomial",
+                   "from . import butterfly", "import equibridge.butterfly",
+                   "from equibridge.butterfly import axis_linking",
+                   "from equibridge import butterfly as b"):
+        assert "equibridge.butterfly" in imported_modules(source, "equibridge"), source
+    assert "equibridge.butterfly" not in imported_modules(
+        "from .laurent import lp\nimport butterfly", "equibridge")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from collections import Counter
@@ -7,7 +8,8 @@ import pytest
 from equibridge.butterfly import butterfly_polynomial
 from equibridge.cli import random_presentation
 from equibridge.laurent import lp_is_eta_admissible
-from equibridge.presentations import parse_i1
+from equibridge import strip
+from equibridge.presentations import I1Presentation, parse_i1
 from equibridge.strip import (
     Arc,
     Crossing,
@@ -125,8 +127,46 @@ def test_label_walk_is_linear_in_the_number_of_arcs():
     # 10000 arcs: a walk that scans the arc list at every step is quadratic.
     pres = parse_i1("20000;1")
     start = time.perf_counter()
-    assert eta_oracle(pres) == butterfly_polynomial(pres)
+    assert eta_from_strip(label_strip(build_strip(pres))) == butterfly_polynomial(pres)
     assert time.perf_counter() - start < 2
+
+
+def test_run_walk_equals_the_labelled_full_strip():
+    """eta_oracle reads the run records; the expanded strip, labelled arc by
+    arc, is the reference."""
+    rng = random.Random(20261019)
+    cases = {"sigma_n > 0": 0, "sigma_n <= 0": 0, "b = 0": 0}
+    while sum(cases.values()) - cases["b = 0"] < 2000:
+        pres = random_presentation(rng, max_n=7, max_alpha=40, max_c=20)
+        if rng.random() < 0.1 and 0 < abs(pres.b) <= 40:
+            # b = 0: one more pair whose alpha cancels the others
+            pres = I1Presentation(pres.alphas + (-pres.b,),
+                                  pres.cs + (rng.choice((-20, -1, 1, 20)),))
+        assert eta_oracle(pres) == eta_from_strip(label_strip(build_strip(pres))), pres
+        cases["sigma_n > 0" if pres.sigma[-1] > 0 else "sigma_n <= 0"] += 1
+        cases["b = 0"] += pres.b == 0
+    assert min(cases.values()) >= 100, cases
+
+
+@pytest.mark.parametrize("text", ["2;1000000", "200000;1"])
+def test_run_walk_costs_per_twist_box(text):
+    # Expanding either strip takes about a minute and gigabytes.
+    pres = parse_i1(text)
+    start = time.perf_counter()
+    assert eta_oracle(pres) == butterfly_polynomial(pres)
+    assert time.perf_counter() - start < 1
+
+
+def test_expanded_strips_are_pinned():
+    """print_strip bytes of 200 seeded strips, as the arc-by-arc builder
+    wrote them before strips were expanded from run records."""
+    rng = random.Random(20261019)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        pres = random_presentation(rng, max_n=6, max_alpha=12, max_c=5)
+        digest.update(print_strip(build_strip(pres)).encode())
+    assert digest.hexdigest() == (
+        "0b46b0cfbf3c00b6c73c481d4e892ec2b80e5e8628b0e70df4fbe094c329beb6")
 
 
 def test_oracle_vanishing_family():
@@ -197,3 +237,23 @@ def test_walk_failure_detection():
     )
     with pytest.raises(StripError):
         label_strip(bad)
+
+
+def test_run_walk_must_return_to_the_rail_at_label_zero(monkeypatch):
+    pres = parse_i1("4;1")
+    runs = strip._walk_runs(pres)
+    assert runs[-1] == ("final vertical", 2, "bottom", -1, 0, 0)
+    # One descender short, the walk re-enters the rail one label up.
+    short = runs[:-1] + [("final vertical", 1, "bottom", -1, 0, 0)]
+    monkeypatch.setattr(strip, "_walk_runs", lambda p: short)
+    with pytest.raises(StripError, match="net shift 1"):
+        eta_oracle(pres)
+    with pytest.raises(StripError, match="net shift 1"):
+        label_strip(build_strip(pres))
+    # Leaving by the top edge, the walk cannot re-enter the rail at all.
+    upward = runs[:-1] + [("final vertical", 1, "top", 0, 0, 0)]
+    monkeypatch.setattr(strip, "_walk_runs", lambda p: upward)
+    with pytest.raises(StripError, match="does not return to the rail"):
+        eta_oracle(pres)
+    with pytest.raises(StripError, match="used twice"):
+        build_strip(pres)
