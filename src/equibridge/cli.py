@@ -289,6 +289,8 @@ def cmd_verify(args) -> int:
         print("error: --samples must be at least 1", file=sys.stderr)
         return 2
     import random
+
+    from .oracles import rf_make, subs_inv_equal, z_to_t  # only verify loads the oracles
     rng = random.Random(args.seed)
     # (suite name, presentation, exception raised or None for a mismatch)
     failures: list[tuple[str, I1Presentation, Optional[Exception]]] = []
@@ -331,8 +333,6 @@ def cmd_verify(args) -> int:
 
     def moth_check(pres):
         # The certified moth against a gcd reduction of the same quotient.
-        from .oracles import rf_make, subs_inv_equal, z_to_t
-
         cert = order_certificate(pres)
         if cert.conway_lhat[:1] != (0,):  # nabla(L-hat) must be divisible by z
             return False

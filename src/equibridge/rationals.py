@@ -31,10 +31,6 @@ class Frac(NamedTuple):
             p = 1
         return Frac(p, q)
 
-    @staticmethod
-    def infinity() -> "Frac":
-        return Frac(1, 0)
-
     def is_infinite(self) -> bool:
         return self.q == 0
 

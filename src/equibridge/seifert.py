@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .laurent import DomainError, InvariantViolation, typed_equality
-from .diagrams import OrientedPD, Point
+from .diagrams import SW, OrientedPD, Point
 
 # Cyclic offsets of parallel strands where several cycles share one band:
 # the half twist reverses the strand order between the two band ends.
@@ -95,50 +95,44 @@ class _Band:
 
 def seifert_circles(pd: OrientedPD) -> tuple[list[_Circle], list[_Band]]:
     """Oriented smoothing: disjoint circles plus one band per crossing."""
-    pairing: dict[tuple[int, str], tuple[int, str]] = {}
-    for ci in range(len(pd.crossings)):
-        dir_a, dir_b = pd.strand_dirs(ci)
-        if dir_a * dir_b == 1:
-            pairs = (("nw", "ne"), ("sw", "se"))
-        else:
-            pairs = (("nw", "sw"), ("ne", "se"))
-        for s1, s2 in pairs:
-            pairing[(ci, s1)] = (ci, s2)
-            pairing[(ci, s2)] = (ci, s1)
-
-    bands = [_Band(ci, pd.crossing_sign(ci)) for ci in range(len(pd.crossings))]
+    into = pd.inflow()
+    bands = [_Band(ci, sign) for ci, sign in enumerate(pd.crossing_signs(into))]
+    # The smoothing joins each incoming slot to the outgoing one beside it:
+    # nw-ne and sw-se (anchor ^ 1) where the strands run parallel, nw-sw and
+    # ne-se (anchor ^ 3) where they do not.
+    turn = [1 if into[a] == into[a + SW] else 3 for a in range(0, len(into), 4)]
+    edges, slot_edge, direction = pd.edges, pd.slot_edge, pd.direction
+    seen = [False] * len(edges)
+    limit = 2 * len(edges) + 2
     circles: list[_Circle] = []
-    seen_edges: set[int] = set()
-    for eid0 in sorted(pd.edges):
-        if eid0 in seen_edges:
+    for eid0 in range(len(edges)):
+        if seen[eid0]:
             continue
+        # Each edge's polyline runs from slot point to slot point, so the
+        # circle is the concatenation of its edges in flow order.
         points: list[Point] = []
         connectors: list[int] = []
         eid = eid0
-        guard = 0
         while True:
-            guard += 1
-            if guard > 2 * len(pd.edges) + 2:
+            if len(connectors) >= limit:
                 raise InvariantViolation("smoothing trace does not close")
-            seen_edges.add(eid)
-            e = pd.edges[eid]
-            d = pd.direction[eid]
-            pts = e.points if d == 1 else list(reversed(e.points))
-            points.extend(pts if not points else pts[1:])
-            head = e.b if d == 1 else e.a
-            ci, slot = head
-            out_slot = pairing[(ci, slot)][1]
+            seen[eid] = True
+            e = edges[eid]
+            if direction[eid] == 1:
+                points.extend(e.points)
+                head = e.b
+            else:
+                points.extend(reversed(e.points))
+                head = e.a
+            ci = head >> 2
+            bands[ci].ends.append((len(circles), len(connectors)))
             connectors.append(ci)
-            bands[ci].ends.append((len(circles), len(connectors) - 1))
-            points.append(pd.crossings[ci].slot_point(out_slot))
-            nxt = pd.crossings[ci].slot(out_slot)
-            if pd.flows_into(nxt, (ci, out_slot)):
+            out = head ^ turn[ci]
+            if into[out]:
                 raise InvariantViolation("smoothing does not respect orientation")
-            if nxt == eid0:
+            eid = slot_edge[out]
+            if eid == eid0:
                 break
-            eid = nxt
-        if points[0] == points[-1]:
-            points.pop()
         circles.append(_Circle(len(circles), points, connectors,
                                _shoelace2(points) > 0))
     for loop in pd.free_loops:
@@ -208,16 +202,16 @@ def _fundamental_cycles(circles, bands) -> list[_Cycle]:
         adj[band.ends[0][0]].append(band)
         adj[band.ends[1][0]].append(band)
     parent_band: dict[int, Optional[_Band]] = {0: None}
-    order = [0]
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
+    order = [0]  # breadth first: walked by index while it grows
+    i = 0
+    while i < len(order):
+        u = order[i]
+        i += 1
         for band in adj[u]:
             v = band.ends[1][0] if band.ends[0][0] == u else band.ends[0][0]
             if v not in parent_band:
                 parent_band[v] = band
                 order.append(v)
-                queue.append(v)
     tree_ids = {b.ident for b in parent_band.values() if b is not None}
 
     def tree_path(u: int) -> list[tuple[_Band, int]]:

@@ -32,14 +32,13 @@ def diagram_state(pd: OrientedPD):
         passages = []
         for eid, d in comp:
             e = pd.edges[eid]
-            head = e.b if d == 1 else e.a
-            ci, slot = head
-            role = "A" if slot in ("nw", "se") else "B"
-            passages.append((ci, role))
+            head = e.b if d == 1 else e.a  # 4 * crossing + slot
+            role = "A" if head % 2 == 0 else "B"  # A holds slots nw and se
+            passages.append((head // 4, role))
         comps.append(passages)
     for _ in pd.free_loops:
         comps.append([])
-    signs = {ci: pd.crossing_sign(ci) for ci in range(len(pd.crossings))}
+    signs = dict(enumerate(pd.crossing_signs(pd.inflow())))
     over = {ci: ("A" if pd.crossings[ci].over_a else "B")
             for ci in range(len(pd.crossings))}
     return comps, signs, over

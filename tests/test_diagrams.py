@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -11,17 +12,18 @@ from equibridge.diagrams import (
 )
 from equibridge.cli import random_presentation
 from equibridge.laurent import DomainError
-from equibridge.presentations import parse_i1
-from equibridge.rationals import eval_cf
+from equibridge.presentations import inversions_from_fraction, parse_i1
+from equibridge.rationals import eval_cf, schubert_classes
+from equibridge.seifert import seifert_circles, seifert_matrix_data
 
 
 def test_plat_examples():
     pd = build_plat_diagram([2, -2])
-    assert pd.crossing_count() == 4 and pd.component_count() == 1
+    assert len(pd.crossings) == 4 and pd.component_count() == 1
     pd = build_plat_diagram([2, -2, -2])
-    assert pd.crossing_count() == 6 and pd.component_count() == 2
+    assert len(pd.crossings) == 6 and pd.component_count() == 2
     pd = build_plat_diagram([0])
-    assert pd.crossing_count() == 0 and pd.component_count() == 2
+    assert len(pd.crossings) == 0 and pd.component_count() == 2
 
 
 def test_component_parity_matches_numerator():
@@ -30,7 +32,7 @@ def test_component_parity_matches_numerator():
         m = rng.randint(1, 6)
         ent = [rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]) for _ in range(m)]
         pd = build_plat_diagram(ent)
-        assert pd.crossing_count() == sum(abs(e) for e in ent)
+        assert len(pd.crossings) == sum(abs(e) for e in ent)
         v = eval_cf(ent)
         want = 1 if v.p % 2 != 0 else 2
         assert pd.component_count() == want, (ent, v)
@@ -46,8 +48,7 @@ def test_lhat_is_two_component_zero_linking():
 def test_lhat_anti_parallel_final_marker():
     pd = build_lhat_diagram(parse_i1("2;1"))
     mu, ml = pd.final_marker
-    comp_of = pd.component_of_edge()
-    assert comp_of[mu[0]] != comp_of[ml[0]]
+    assert pd.component_of[mu[0]] != pd.component_of[ml[0]]
 
 
 def test_linking_number_examples():
@@ -68,7 +69,7 @@ def test_linking_number_random_lhat():
 def test_knot_diagram_validates():
     pd = build_knot_diagram(parse_i1("2,4;1,1"))
     assert pd.component_count() == 1
-    assert pd.crossing_count() == 2 + 2 + 4 + 2
+    assert len(pd.crossings) == 2 + 2 + 4 + 2
 
 
 def test_every_edge_sits_in_exactly_two_crossing_slots():
@@ -78,11 +79,48 @@ def test_every_edge_sits_in_exactly_two_crossing_slots():
                  for _ in range(20)]
     for pd in diagrams:
         slots = Counter()
-        for ci, c in enumerate(pd.crossings):
-            for name in ("nw", "ne", "se", "sw"):
-                eid = c.slot(name)
-                assert (ci, name) in (pd.edges[eid].a, pd.edges[eid].b)
-                slots[eid] += 1
-        assert set(slots) == set(pd.edges)
+        assert len(pd.slot_edge) == 4 * len(pd.crossings)
+        for anchor, eid in enumerate(pd.slot_edge):
+            assert anchor in (pd.edges[eid].a, pd.edges[eid].b)
+            slots[eid] += 1
+        assert set(slots) == set(range(len(pd.edges)))
         assert set(slots.values()) == {2}
     assert len(diagrams[0].edges) == 8
+
+
+def canonical_dump(pd) -> str:
+    """A diagram with its Seifert circles, bands and matrix as plain values,
+    slots by name, independent of how the package encodes them."""
+    def anchor(a):
+        return (a // 4, ("nw", "ne", "se", "sw")[a % 4])
+
+    circles, bands = seifert_circles(pd)
+    return repr((
+        [(c.x, c.y, c.over_a) for c in pd.crossings],
+        [(e.ident, anchor(e.a), anchor(e.b), e.points) for e in pd.edges],
+        pd.free_loops,
+        pd.components,
+        pd.final_marker,
+        [(c.points, c.connectors, c.ccw) for c in circles],
+        [(b.ident, b.sign, b.ends) for b in bands],
+        seifert_matrix_data(pd).matrix,
+    ))
+
+
+def test_every_p45_diagram_circle_and_seifert_matrix_is_pinned():
+    """The knot and butterfly diagrams of every inversion up to p = 45, with
+    their Seifert circles and matrices, hash to a recorded value: a faster
+    builder or circle tracer must leave every one of them identical."""
+    digest = hashlib.sha256()
+    count = 0
+    for p, q in schubert_classes(45):
+        pair = inversions_from_fraction(p, q)
+        for pres in (pair.inv1, pair.inv2):
+            if pres is None:
+                continue
+            for build in (build_knot_diagram, build_lhat_diagram):
+                digest.update(canonical_dump(build(pres)).encode() + b"\n")
+                count += 1
+    assert count == 608
+    assert digest.hexdigest() == (
+        "57fef98635e2028c0556006d194476cb563e5e1def8b69585637d08e9b770ad7")

@@ -5,7 +5,9 @@ fraction of integers, so the source may not divide with `/`, write a float
 literal, or name `float`, `Fraction` or `Decimal`.
 
 The strip oracle and the closed formula are two routes to the butterfly
-polynomial, so `strip` imports nothing from `butterfly`.
+polynomial, so `strip` imports nothing from `butterfly`.  Likewise the
+geometric route (`diagrams`, `seifert`) imports none of the arithmetic it
+checks.
 """
 import ast
 from pathlib import Path
@@ -70,6 +72,16 @@ def test_strip_imports_nothing_from_butterfly():
     imported = imported_modules(source, "equibridge")
     assert "equibridge.presentations" in imported
     assert "equibridge.butterfly" not in imported
+
+
+def test_geometry_imports_none_of_the_arithmetic_it_checks():
+    arithmetic = {f"equibridge.{name}" for name in
+                  ("rationals", "butterfly", "moth", "strip", "oracles")}
+    for name in ("diagrams", "seifert"):
+        source = (Path(equibridge.__file__).parent / f"{name}.py").read_text()
+        imported = imported_modules(source, "equibridge")
+        assert "equibridge.laurent" in imported, name
+        assert imported & arithmetic == set(), name
 
 
 def test_imported_modules_resolves_each_form():

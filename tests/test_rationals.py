@@ -37,7 +37,7 @@ def test_eval_cf_matches_stepwise_evaluation(entries):
 
 
 def test_eval_cf_projective_points():
-    assert eval_cf([0, 0]) == Frac.infinity()
+    assert eval_cf([0, 0]) == Frac(1, 0)
     assert eval_cf([0]) == Frac.make(0, 1)
     with pytest.raises(DomainError):
         eval_cf([])

@@ -189,7 +189,7 @@ def test_alexander_values_of_small_knots():
 def test_zero_crossing_unknot_closure():
     """The closure of the infinity tangle is a crossingless unknot."""
     pd = build_plat_diagram([0, 0])
-    assert pd.crossing_count() == 0 and pd.component_count() == 1
+    assert len(pd.crossings) == 0 and pd.component_count() == 1
     data = seifert_matrix_data(pd)
     assert data.rank == 0 and data.circle_count == 1
     assert conway_polynomial(data) == zp_parse("1")
