@@ -8,9 +8,10 @@ the continuant formula `presentations.conway_continuant`.
 
 The surface is the usual one: a disk for every circle of the oriented
 smoothing (nested circles stacked), a half-twisted band for every crossing.
-A homology basis comes from the fundamental cycles of a spanning tree of the
-circles-and-bands graph.  Linking numbers of push-offs are computed
-combinatorially from three kinds of local data:
+A homology basis comes from the fundamental cycles of a breadth-first
+spanning tree of the circles-and-bands graph, each a closed walk of bands;
+a tree that misses a circle means a split link.  Linking numbers of
+push-offs are computed combinatorially from three kinds of local data:
 
   * two cycles through one band cross once inside the half twist;
   * two chords on one disk cross when their endpoints interleave around the
@@ -27,11 +28,6 @@ from typing import NamedTuple, Optional
 
 from .laurent import DomainError, InvariantViolation, typed_equality
 from .diagrams import SW, OrientedPD, Point
-
-# Cyclic offsets of parallel strands where several cycles share one band:
-# the half twist reverses the strand order between the two band ends.
-_TIE_SIGN = (1, -1)
-
 
 @typed_equality
 class SeifertData(NamedTuple):
@@ -154,55 +150,16 @@ def _containment(circles: list[_Circle]) -> list[list[bool]]:
     return inside
 
 
-class _CycleVisit(NamedTuple):
-    circle: int
-    enter_key: tuple
-    leave_key: tuple
-
-
-class _Cycle:
-    """One fundamental cycle: band_dirs maps band id -> +1 when traversed
-    end0 -> end1, visits maps circle id -> its `_CycleVisit`."""
-
-    __slots__ = ("index", "band_dirs", "visits")
-
-    def __init__(self, index: int, band_dirs: dict[int, int],
-                 visits: dict[int, _CycleVisit]):
-        self.index = index
-        self.band_dirs = band_dirs
-        self.visits = visits
-
-
-def _check_connected(pd: OrientedPD, circles, bands):
-    if pd.free_loops and (pd.crossings or len(pd.free_loops) > 1):
-        raise DomainError("disconnected diagram (split link)")
-    if not bands:
-        return
+def _fundamental_cycles(circles, bands) -> list[list[tuple[_Band, int]]]:
+    """Spanning-tree fundamental cycles of the circles-and-bands graph, each
+    a closed walk of (band, +1 when traversed end0 -> end1, else -1)."""
     s = len(circles)
-    parent = list(range(s))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]  # path halving
-            a = parent[a]
-        return a
-
-    for band in bands:
-        u, v = band.ends[0][0], band.ends[1][0]
-        parent[find(u)] = find(v)
-    if len({find(i) for i in range(s)}) != 1:
-        raise DomainError("disconnected diagram (split link)")
-
-
-def _fundamental_cycles(circles, bands) -> list[_Cycle]:
-    """Spanning-tree fundamental cycles of the circles-and-bands graph."""
-    s = len(circles)
-    adj: dict[int, list[_Band]] = {i: [] for i in range(s)}
+    adj: list[list[_Band]] = [[] for _ in range(s)]
     for band in bands:
         adj[band.ends[0][0]].append(band)
         adj[band.ends[1][0]].append(band)
     parent_band: dict[int, Optional[_Band]] = {0: None}
-    order = [0]  # breadth first: walked by index while it grows
+    order = [0] if s else []  # breadth first: walked by index while it grows
     i = 0
     while i < len(order):
         u = order[i]
@@ -212,6 +169,9 @@ def _fundamental_cycles(circles, bands) -> list[_Cycle]:
             if v not in parent_band:
                 parent_band[v] = band
                 order.append(v)
+    # A free loop has no band, so the tree misses it like any split part.
+    if len(order) < s:
+        raise DomainError("disconnected diagram (split link)")
     tree_ids = {b.ident for b in parent_band.values() if b is not None}
 
     def tree_path(u: int) -> list[tuple[_Band, int]]:
@@ -227,7 +187,7 @@ def _fundamental_cycles(circles, bands) -> list[_Cycle]:
                 u = band.ends[0][0]
         return out
 
-    cycles: list[_Cycle] = []
+    cycles = []
     for band in bands:
         if band.ident in tree_ids:
             continue
@@ -246,131 +206,100 @@ def _fundamental_cycles(circles, bands) -> list[_Cycle]:
             up1.pop()
         walk.extend(up1)
         walk.extend(reversed([(b, -d) for b, d in up0]))
-        cycles.append(_make_cycle(len(cycles), walk))
+        cycles.append(walk)
     return cycles
 
 
-def _band_end_keys(band: _Band, cycles_through: list[int]) -> dict[tuple[int, int], tuple]:
-    """Sort keys for the parallel strands of a band at each of its two ends."""
-    keys = {}
-    for slot, cyc in enumerate(sorted(cycles_through), start=1):
-        for end in (0, 1):
-            circle, pos = band.ends[end]
-            keys[(cyc, end)] = (pos, _TIE_SIGN[end] * slot)
-    return keys
-
-
-def _make_cycle(index: int, walk: list[tuple[_Band, int]]) -> _Cycle:
-    band_dirs = {band.ident: d for band, d in walk}
-    if len(band_dirs) != len(walk):
-        raise InvariantViolation("cycle repeats a band")
-    visits: dict[int, _CycleVisit] = {}
-    m = len(walk)
-    for k in range(m):
-        band, d = walk[k]
-        nxt_band, nxt_d = walk[(k + 1) % m]
-        arrive_end = 1 if d == 1 else 0
-        circle = band.ends[arrive_end][0]
-        leave_end = 0 if nxt_d == 1 else 1
-        if nxt_band.ends[leave_end][0] != circle:
-            raise InvariantViolation("cycle walk is not contiguous")
-        if circle in visits:
-            raise InvariantViolation("cycle visits a circle twice")
-        visits[circle] = _CycleVisit(circle, (band.ident, arrive_end),
-                                     (nxt_band.ident, leave_end))
-    return _Cycle(index, band_dirs, visits)
+def _in_ccw_arc(key: tuple, start: tuple, end: tuple) -> bool:
+    """key lies strictly on the cyclic arc that runs up from start to end."""
+    if start < end:
+        return start < key < end
+    return key > start or key < end
 
 
 def seifert_matrix_data(pd: OrientedPD) -> SeifertData:
     """Seifert circles and the integer linking matrix of the surface basis."""
     circles, bands = seifert_circles(pd)
-    _check_connected(pd, circles, bands)
+    cycles = _fundamental_cycles(circles, bands)
     mu = pd.component_count()
     x = len(bands)
     s = len(circles)
     if x == 0:
         return SeifertData(s, 0, [], mu)
-    cycles = _fundamental_cycles(circles, bands)
     g = len(cycles)
     if g != x - s + 1:
         raise InvariantViolation(f"basis rank {g} != {x} - {s} + 1")
     inside = _containment(circles)
 
-    # Cycles through every band, with per-end sort keys for parallel strands.
-    through: dict[int, list[int]] = {b.ident: [] for b in bands}
-    for cyc in cycles:
-        for bid in cyc.band_dirs:
-            through[bid].append(cyc.index)
-    end_keys: dict[tuple[int, int, int], tuple] = {}
-    for band in bands:
-        keys = _band_end_keys(band, through[band.ident])
-        for (cyc, end), key in keys.items():
-            end_keys[(band.ident, cyc, end)] = key
+    # through[band]: (cycle, direction) of every cycle through it, in cycle
+    # order.  Per circle: the chords (cycle, key in, key out) that cycles draw
+    # across its disk, and the strand-points (cycle, key, +1 arriving or -1
+    # leaving) of bands that meet it from a circle nested inside it.  A strand
+    # end's key is its connector position on the circle, then +k at end 0 and
+    # -k at end 1 for the k-th cycle through the band: the half twist reverses
+    # the order of parallel strands between the two ends.
+    through: list[list[tuple[int, int]]] = [[] for _ in bands]
+    chords: list[list[tuple[int, tuple, tuple]]] = [[] for _ in circles]
+    points: list[list[tuple[int, tuple, int]]] = [[] for _ in circles]
+    for ci, walk in enumerate(cycles):
+        # Per band: (circle, key) of the end the walk enters it by, then of
+        # the end it leaves by.
+        steps = []
+        for band, d in walk:
+            passing = through[band.ident]
+            if passing and passing[-1][0] == ci:
+                raise InvariantViolation("cycle repeats a band")
+            passing.append((ci, d))
+            k = len(passing)
+            (c0, p0), (c1, p1) = band.ends
+            end0, end1 = (c0, (p0, k)), (c1, (p1, -k))
+            steps.append((end0, end1) if d == 1 else (end1, end0))
+            if inside[c1][c0]:
+                points[c0].append((ci, (p0, k), -d))
+            elif inside[c0][c1]:
+                points[c1].append((ci, (p1, -k), d))
+            # else neither circle is nested in the other: the band is
+            # invisible to both disks
+        # Between two bands the walk crosses one disk as a chord, from the
+        # end where it leaves the first to the end where it enters the next.
+        visited = set()
+        for (_, (circle, key_in)), ((circle_out, key_out), _) in zip(
+                steps, steps[1:] + steps[:1]):
+            if circle_out != circle:
+                raise InvariantViolation("cycle walk is not contiguous")
+            if circle in visited:
+                raise InvariantViolation("cycle visits a circle twice")
+            visited.add(circle)
+            chords[circle].append((ci, key_in, key_out))
 
     twice = [[0] * g for _ in range(g)]
 
     # Shared bands: one crossing inside the half twist per pair of strands.
-    for band in bands:
-        for xi in through[band.ident]:
-            for yi in through[band.ident]:
-                ux = cycles[xi].band_dirs[band.ident]
-                uy = cycles[yi].band_dirs[band.ident]
-                twice[xi][yi] += -band.sign * ux * uy
+    for band, passing in zip(bands, through):
+        for xi, dx in passing:
+            for yi, dy in passing:
+                twice[xi][yi] -= band.sign * dx * dy
 
-    # Per-circle data: chords and inward band strand-points.
-    by_circle_chords: dict[int, list[tuple[int, tuple, tuple]]] = {}
-    by_circle_points: dict[int, list[tuple[int, tuple, int]]] = {}
-    for cyc in cycles:
-        for circle_id, visit in cyc.visits.items():
-            bid_in, end_in = visit.enter_key
-            bid_out, end_out = visit.leave_key
-            kin = end_keys[(bid_in, cyc.index, end_in)]
-            kout = end_keys[(bid_out, cyc.index, end_out)]
-            by_circle_chords.setdefault(circle_id, []).append((cyc.index, kin, kout))
-        for bid, d in cyc.band_dirs.items():
-            band = bands[bid]
-            c0, c1 = band.ends[0][0], band.ends[1][0]
-            if inside[c1][c0]:
-                outer, outer_end = c0, 0
-            elif inside[c0][c1]:
-                outer, outer_end = c1, 1
-            else:
-                continue  # sibling circles: band invisible to both disks
-            arrives = (d == 1 and outer_end == 1) or (d == -1 and outer_end == 0)
-            key = end_keys[(bid, cyc.index, outer_end)]
-            by_circle_points.setdefault(outer, []).append(
-                (cyc.index, key, 1 if arrives else -1)
-            )
-
-    def in_ccw_arc(key, start, end) -> bool:
-        if start < end:
-            return start < key < end
-        return key > start or key < end
-
-    for circle in circles:
-        cid = circle.ident
-        chords = by_circle_chords.get(cid, [])
-        n_c = 1 if circle.ccw else -1
-        if not circle.ccw:
-            chords = [(i, _flip_key(a), _flip_key(b)) for i, a, b in chords]
-            points = [(i, _flip_key(k), arr) for i, k, arr in
-                      by_circle_points.get(cid, [])]
-        else:
-            points = by_circle_points.get(cid, [])
-        # chord-chord crossings
-        for xi, a1, a2 in chords:
-            for yi, b1, b2 in chords:
-                if xi == yi:
-                    continue
-                inb1 = in_ccw_arc(b1, a1, a2)
-                inb2 = in_ccw_arc(b2, a1, a2)
-                if inb1 != inb2:
-                    twice[xi][yi] += n_c * (1 if inb1 else -1)
-        # Chord versus inward band strands: these crossings sit off the
-        # surface (the band is above the disk), so they count symmetrically.
-        for xi, a1, a2 in chords:
-            for yi, key, arr in points:
-                if in_ccw_arc(key, a1, a2):
+    for circle, on_disk, inward in zip(circles, chords, points):
+        for xi, a1, a2 in on_disk:
+            # Chords cross when their ends interleave around the circle.
+            for yi, b1, b2 in on_disk:
+                if xi != yi:
+                    inb1 = _in_ccw_arc(b1, a1, a2)
+                    if inb1 != _in_ccw_arc(b2, a1, a2):
+                        twice[xi][yi] += 1 if inb1 else -1
+            # Keys follow the strand traversal, which is clockwise on a
+            # clockwise circle.  Reading such a circle backwards swaps each
+            # chord's ends and also flips its disk's normal; keys of
+            # different cycles never tie, so the two cancel in the
+            # chord-chord sign above, and only this test depends on
+            # orientation.
+            if not circle.ccw:
+                a1, a2 = a2, a1
+            # Chord versus inward band strands: these crossings sit off the
+            # surface (the band is above the disk), so they count symmetrically.
+            for yi, key, arr in inward:
+                if _in_ccw_arc(key, a1, a2):
                     twice[xi][yi] += arr
                     twice[yi][xi] += arr
 
@@ -381,11 +310,6 @@ def seifert_matrix_data(pd: OrientedPD) -> SeifertData:
                 raise InvariantViolation("half-integer linking entry")
             matrix[i][j] = twice[i][j] // 2
     return SeifertData(s, x, matrix, mu)
-
-
-def _flip_key(key: tuple) -> tuple:
-    """Reverse the cyclic order (clockwise circles are read backwards)."""
-    return (-key[0], -key[1])
 
 
 def _bareiss_det(m: list[list[int]]) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from types import SimpleNamespace
@@ -10,7 +11,7 @@ from equibridge.diagrams import build_knot_diagram, build_lhat_diagram, build_pl
 from equibridge.laurent import DomainError, InvariantViolation, zp_parse
 from equibridge.seifert import (
     _bareiss_det,
-    _check_connected,
+    _fundamental_cycles,
     determinant,
     seifert_matrix_data,
 )
@@ -130,27 +131,59 @@ def test_alexander_symmetry_of_seifert_determinant():
         assert all(p[k] == sign * p[g - k] for k in range(g + 1))
 
 
+def _seifert_outcome(build, arg):
+    try:
+        data = seifert_matrix_data(build(arg))
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))
+    return (data.circle_count, data.crossing_count, data.mu, data.matrix)
+
+
+def test_random_diagram_seifert_outcomes_are_pinned():
+    """Seeded plat diagrams with zero entries (split links and free loops
+    among them) and knot and butterfly diagrams with long twist regions hash,
+    matrices and errors alike, to a recorded value, so a rewrite of the
+    Seifert matrix must leave every outcome unchanged; the p <= 45 pin
+    reaches none of these cases."""
+    rng = random.Random(19)
+    digest = hashlib.sha256()
+    errors = 0
+    for _ in range(400):
+        entries = [rng.choice((0, rng.randint(-5, 5)))
+                   for _ in range(rng.randint(1, 6))]
+        outcome = _seifert_outcome(build_plat_diagram, entries)
+        errors += isinstance(outcome[0], str)
+        digest.update(repr(outcome).encode() + b"\n")
+    for _ in range(100):
+        pres = random_presentation(rng, max_n=3, max_alpha=14, max_c=6)
+        for build in (build_knot_diagram, build_lhat_diagram):
+            digest.update(repr(_seifert_outcome(build, pres)).encode() + b"\n")
+    assert errors == 79
+    assert digest.hexdigest() == (
+        "adf78eff2df084c81f030ee1dfe3876cc2288ae68faf170fc5f4e19625c0cdeb")
+
+
 def test_split_diagram_rejected():
     pd = build_plat_diagram([0])  # two crossingless loops
     with pytest.raises(DomainError):
         seifert_matrix_data(pd)
 
 
-def _band(u, v):
-    return SimpleNamespace(ends=((u, "nw"), (v, "se")))
+def _band(i):
+    """Band i joins the second connector of circle i to the first of i + 1."""
+    return SimpleNamespace(ident=i, ends=((i, 1), (i + 1, 0)))
 
 
 def test_connectivity_check_on_a_chain_of_circles_is_fast():
-    # Joining circle i to i + 1 in order builds one long parent chain.
-    pd = SimpleNamespace(free_loops=[], crossings=[None])
+    # Joining circle i to i + 1 in order makes a spanning tree of depth s - 1.
     s = 20000
     circles = [None] * s
     start = time.perf_counter()
-    _check_connected(pd, circles, [_band(i, i + 1) for i in range(s - 1)])
+    assert _fundamental_cycles(circles, [_band(i) for i in range(s - 1)]) == []
     assert time.perf_counter() - start < 1.0
     with pytest.raises(DomainError):
-        _check_connected(pd, circles,
-                         [_band(i, i + 1) for i in range(s - 1) if i != s // 2])
+        _fundamental_cycles(circles,
+                            [_band(i) for i in range(s - 1) if i != s // 2])
 
 
 def test_hopf_z_coefficient_is_linking_number():
