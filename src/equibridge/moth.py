@@ -6,6 +6,11 @@ nabla(butterfly link, band-coherent orientation) / (z * nabla(knot)),
 rewritten in t.  A non-zero numerator certifies infinite order in the
 equivariant concordance group, and the numerator is non-zero whenever the
 butterfly link's determinant is, which the 2-bridge arithmetic guarantees.
+
+Both Conway polynomials are continuants of the continued fractions
+(Koseleff-Pecker, J. Symbolic Comput. 2015).  Each has one parity in z, so
+they are computed and checked as lists of coefficients in w = z^2, low to
+high and trimmed; only the report writes them in z.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ from math import gcd
 from .laurent import (
     Frozen, InvariantViolation, RationalFn, TCoeffs, ZCoeffs, lp_to_str, zp_to_str,
 )
-from .presentations import I1Presentation, continuant_matrix, continuant_row
+from .presentations import I1Presentation
 from .rationals import Frac
 
 INFINITE_ORDER = "InfiniteOrder"
@@ -26,12 +31,36 @@ def _trim(p: list[int]) -> list[int]:
     return p
 
 
-def _in_w(p: ZCoeffs, odd: int, what: str) -> list[int]:
-    """Coefficients in w = z^2 of p (odd = 0) or of p/z (odd = 1), trimmed;
-    p must have only terms of that parity."""
-    if any(p[1 - odd::2]):
-        raise InvariantViolation(f"{what} is not {'odd' if odd else 'even'}")
-    return _trim(list(p[odd::2]))
+def conway_in_w(pres: I1Presentation) -> tuple[list[int], ...]:
+    """(A, B, C, D, L) in w, from one pass over the twist pairs.
+
+    [[A, zB], [zC, D]] is the continuant matrix of the knot's continued
+    fraction, the product of [[x, 1], [1, 0]] over x = (a1/2)z, c1 z, ...,
+    (an/2)z, cn z.  A pair (a, c) multiplies it by
+    [[1 + (a/2)c w, (a/2)z], [c z, 1]], of determinant 1, so A = nabla(K)
+    and AD - wBC = 1.  L = nabla(L-hat)/z is the continuant of the
+    butterfly entries with every sign flipped: the same product over the
+    negated pairs, kept in its own top row, then a last x = (b/2)z.
+    """
+    A, D, top_a = ([1] + [0] * pres.n for _ in range(3))
+    B, C, top_b = ([0] * (pres.n + 1) for _ in range(3))
+    for a, c in zip(pres.alphas, pres.cs):
+        h = a // 2
+        B = [x + h * y for x, y in zip(B, A)]
+        A = [x + c * y for x, y in zip(A, [0] + B)]
+        D = [x + h * y for x, y in zip(D, [0] + C)]
+        C = [x + c * y for x, y in zip(C, D)]
+        top_b = [x - h * y for x, y in zip(top_b, top_a)]
+        top_a = [x - c * y for x, y in zip(top_a, [0] + top_b)]
+    L = [pres.b // 2 * x + y for x, y in zip(top_a, top_b)]
+    return tuple(_trim(p) for p in (A, B, C, D, L))
+
+
+def _in_z(p: list[int], odd: int) -> ZCoeffs:
+    """The coefficients in z of z^odd * p(z^2)."""
+    out = [0] * (2 * len(p) - 1 + odd) if p else []
+    out[odd::2] = p
+    return tuple(out)
 
 
 def _mul(a: list[int], b: list[int]) -> list[int]:
@@ -61,33 +90,26 @@ def _w_to_t(cs: list[int]) -> list[int]:
     return acc
 
 
-def certified_moth(lhat: ZCoeffs, knot: tuple[tuple[ZCoeffs, ZCoeffs], ...],
-                   b: int) -> RationalFn:
+def certified_moth(conway: tuple[list[int], ...], b: int) -> RationalFn:
     """nabla(L-hat)(z) / (z * nabla(K)(z)) as a rational function of t, in
     the canonical form of `oracles.rf_make`, with no gcd.
 
-    `lhat` is nabla(L-hat) and `knot` the `continuant_matrix` of the knot's
-    entries x1..xm; b is the balancing entry.  The matrix has determinant 1
-    (m is even), so nabla(K) and K(x1..x(m-1)) are coprime, and so are
-    nabla(K) and nabla(L-hat) = (b/2) z nabla(K) - K(x1..x(m-1)).  Both quotients are polynomials in w = z^2, hence stay
-    coprime in t, and only content, powers of t and sign are normalized.
+    `conway` is (A, B, C, D, L) of `conway_in_w` and b the balancing entry.
+    The knot's continuant matrix has determinant 1, so A = nabla(K) and B
+    are coprime, and so are A and L = (b/2)A - B.  Both are polynomials in
+    w = z^2, hence stay coprime in t, and only content, powers of t and
+    sign are normalized.
     """
-    (d, d_minus), (c, c_minus) = knot
-    d = _in_w(d, 0, "knot Conway polynomial")
-    d_minus = _in_w(d_minus, 1, "knot cofactor K(x1..x(m-1))")
-    c = _in_w(c, 1, "knot cofactor K(x2..xm)")
-    c_minus = _in_w(c_minus, 0, "knot cofactor K(x2..x(m-1))")
-    n = _in_w(lhat, 1, "butterfly-link Conway polynomial")
-    # d c_minus - z^2 (d_minus/z)(c/z), in w.
-    if _sub(_mul(d, c_minus), [0] + _mul(d_minus, c)) != [1]:
+    A, B, C, D, L = conway
+    if _sub(_mul(A, D), [0] + _mul(B, C)) != [1]:
         raise InvariantViolation("knot continuant matrix does not have determinant 1")
-    if _sub([b // 2 * x for x in d], d_minus) != n:
+    if _sub([b // 2 * x for x in A], B) != L:
         raise InvariantViolation(
             "butterfly-link Conway polynomial is not (b/2) z nabla(K) - K(x1..x(m-1))")
-    if not n or n[0] != 0:
+    if not L or L[0] != 0:
         # The z coefficient of nabla(L-hat) is the linking number, which must vanish.
         raise InvariantViolation("butterfly-link Conway polynomial has a z term")
-    num, den = _w_to_t(n), _w_to_t(d)
+    num, den = _w_to_t(L), _w_to_t(A)
     if sum(den) == 0:
         raise InvariantViolation("knot Conway normalization lost")
     joint = gcd(*num, *den)
@@ -98,7 +120,7 @@ def certified_moth(lhat: ZCoeffs, knot: tuple[tuple[ZCoeffs, ZCoeffs], ...],
     # Each list runs from t^-D to t^D, D its degree in w, with non-zero
     # ends; moving every power of t into the numerator leaves den a
     # polynomial with den(0) != 0.
-    val = len(d) - len(n)
+    val = len(A) - len(L)
     # den(1) != 0 rules out an anti-palindromic pair, so palindromes with
     # 2 val = deg den - deg num (as polynomials) are exactly f(1/t) = f(t).
     if num != num[::-1] or den != den[::-1] or 2 * val != len(den) - len(num):
@@ -143,34 +165,27 @@ def order_certificate(pres: I1Presentation) -> OrderCertificate:
     check of the band move, det(V + V^T) of the butterfly link's Seifert
     matrix, is a separate step of `cli.analyze_presentation`.
     """
-    knot = continuant_matrix(pres.knot_cf(), 1)
-    lhat = continuant_row(pres.butterfly_cf(), -1)[0]
-    det = _checked_determinant("butterfly", pres.butterfly_fraction, lhat)
-    det_knot = _checked_determinant("knot", pres.knot_fraction, knot[0][0])
-    return OrderCertificate(INFINITE_ORDER, lhat, det,
-                            certified_moth(lhat, knot, pres.b), knot[0][0], det_knot)
+    conway = conway_in_w(pres)
+    knot, lhat = conway[0], conway[4]
+    det = _checked_determinant("butterfly", pres.butterfly_fraction, lhat, 1)
+    det_knot = _checked_determinant("knot", pres.knot_fraction, knot, 0)
+    return OrderCertificate(INFINITE_ORDER, _in_z(lhat, 1), det,
+                            certified_moth(conway, pres.b), _in_z(knot, 0), det_knot)
 
 
-def _checked_determinant(name: str, fraction: Frac, nabla: ZCoeffs) -> int:
-    """|p| of the fraction, equal to |nabla(2i)|."""
+def _checked_determinant(name: str, fraction: Frac, nabla: list[int], odd: int) -> int:
+    """|p| of the fraction, equal to |z^odd * nabla(z^2)| at z = 2i."""
     det = abs(fraction.p)
-    if det != _det_from_conway(nabla):
+    if det != _det_from_conway(nabla, odd):
         raise InvariantViolation(
             f"{name} determinant and Conway polynomial disagree"
         )
     return det
 
 
-def _det_from_conway(nabla: ZCoeffs) -> int:
-    """|nabla at z = 2i|, computed exactly.
-
-    (2i)^e = 2^e i^e is real for even e and imaginary for odd e, so the
-    value of a polynomial of one parity is real or imaginary.
-    """
-    parts = [0, 0]
-    for e, c in enumerate(nabla):
-        parts[e % 2] += c * (1 if e % 4 < 2 else -1) * 2**e
-    real, imag = parts
-    if real and imag:
-        raise InvariantViolation("Conway polynomial mixes even and odd terms")
-    return abs(real or imag)
+def _det_from_conway(nabla: list[int], odd: int) -> int:
+    """|z^odd * nabla(z^2)| at z = 2i, that is 2^odd |nabla(-4)|, exactly."""
+    value = 0
+    for c in reversed(nabla):
+        value = -4 * value + c
+    return 2**odd * abs(value)

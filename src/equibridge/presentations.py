@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
-from .laurent import DomainError, Frozen, InvariantViolation, ZCoeffs, typed_equality
+from .laurent import DomainError, Frozen, InvariantViolation, typed_equality
 from .rationals import Frac, EvenCF, _int_field, eval_cf, even_cf, two_bridge_equiv
 
 
@@ -113,58 +113,6 @@ def parse_i1(text: str) -> I1Presentation:
     except DomainError as exc:
         raise ParseError(str(exc)) from None
     return I1Presentation(alphas, cs)
-
-
-def _trimmed(p: list[int]) -> ZCoeffs:
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
-
-
-def continuant_row(entries: Sequence[int], sign: int) -> tuple[ZCoeffs, ZCoeffs]:
-    """(K(x1..xm), K(x1..x(m-1))) for the entries of an even continued
-    fraction, x_i = sign*(e_i/2)*z at odd positions i and -sign*(e_i/2)*z
-    at even ones.
-
-    Both are `ZCoeffs`.  The loop runs the recurrence
-    (K_i, K_(i-1)) = (x_i K_(i-1) + K_(i-2), K_(i-1)) from (K_0, K_(-1)) = (1, 0).
-    """
-    cur: list[int] = [1]
-    prev: list[int] = []
-    for i, e in enumerate(entries):
-        if e % 2:
-            raise DomainError(f"continued-fraction entry {e} is odd")
-        h = (sign if i % 2 == 0 else -sign) * (e // 2)
-        nxt = [0] + [h * c for c in cur]
-        for k, c in enumerate(prev):
-            nxt[k] += c
-        cur, prev = nxt, cur
-    return _trimmed(cur), _trimmed(prev)
-
-
-def continuant_matrix(entries: Sequence[int],
-                      sign: int) -> tuple[tuple[ZCoeffs, ZCoeffs], ...]:
-    """The product of [[x_i, 1], [1, 0]] over the entries, x_i as in
-    `continuant_row`.
-
-    The first row is (K(x1..xm), K(x1..x(m-1))), the second
-    (K(x2..xm), K(x2..x(m-1))), the row of the entries after the first.
-    The determinant is (-1)^m, so consecutive continuants are coprime
-    (Graham-Knuth-Patashnik, Concrete Mathematics, 6.7).
-    """
-    if not entries:
-        return ((1,), ()), ((), (1,))  # the empty product
-    return continuant_row(entries, sign), continuant_row(entries[1:], -sign)
-
-
-def conway_continuant(entries: Sequence[int], sign: int) -> ZCoeffs:
-    """Conway polynomial of the 2-bridge link of an even continued fraction.
-
-    It is the continuant K(sign*e1*z/2, -sign*e2*z/2, sign*e3*z/2, ...)
-    (Koseleff-Pecker, J. Symbolic Comput. 2015): sign +1 for a knot's
-    fraction, -1 for the band-coherently oriented butterfly link.
-    """
-    return continuant_row(entries, sign)[0]
 
 
 @typed_equality

@@ -186,9 +186,11 @@ def two_bridge_equiv(p1: int, q1: int, p2: int, q2: int) -> bool:
 def schubert_classes(max_p: int) -> list[tuple[int, int]]:
     """One canonical (p, q) per class with even q in (0, p), p odd, 3 <= p <= max_p.
 
-    Even denominators pick one fraction per knot-and-mirror family in the
-    normalization used by the even continued fraction machinery; classes are
-    deduplicated via q ~ q^(-1) mod p.
+    K(p, q) and K(p, q') are the same knot iff q' = q^(+-1) mod p, and
+    K(p, -q) is the mirror of K(p, q) (Schubert 1956).  Each record is the
+    least even member of a class {q, q^(-1)} mod p that has one.  Since q
+    and p - q differ in parity, every knot up to mirror is listed, and a
+    chiral knot is listed once per chirality with an even representative.
     """
     out: list[tuple[int, int]] = []
     for p in range(3, max_p + 1, 2):

@@ -4,7 +4,7 @@ and the link determinant.
 The determinant backs the geometric check of `cli.analyze_presentation`
 and `verify`'s determinant suite.  The tests read the Conway polynomial
 off the same matrix (tests/seifert_conway.py), an independent oracle for
-the continuant formula `presentations.conway_continuant`.
+the continuants of `moth.conway_in_w`.
 
 The surface is the usual one: a disk for every circle of the oriented
 smoothing (nested circles stacked), a half-twisted band for every crossing.

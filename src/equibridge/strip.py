@@ -64,15 +64,13 @@ class Crossing(NamedTuple):
 
 class StripDiagram(Frozen):
     """A validated strip.  start_forward says whether the walk traverses
-    the start arc first -> second.  crossing_roles is the builder's
-    self-report ("box 2", "rail-vertical"); it is not part of the wire
-    format, and equality ignores it."""
+    the start arc first -> second."""
 
     _fields = ("slots", "arcs", "crossings", "start_arc", "start_forward")
 
     def __init__(self, slots: int, arcs: tuple[Arc, ...],
                  crossings: tuple[Crossing, ...], start_arc: int,
-                 start_forward: bool, crossing_roles: tuple[str, ...] = ()):
+                 start_forward: bool):
         seen: dict[tuple[str, int], int] = {}
         ids = set()
         for arc in arcs:
@@ -104,8 +102,7 @@ class StripDiagram(Frozen):
         if start_arc not in ids:
             raise StripError(f"start arc {start_arc} does not exist")
         vars(self).update(slots=slots, arcs=arcs, crossings=crossings,
-                          start_arc=start_arc, start_forward=start_forward,
-                          crossing_roles=crossing_roles)
+                          start_arc=start_arc, start_forward=start_forward)
 
 
 @typed_equality
@@ -241,8 +238,7 @@ def build_strip(pres: I1Presentation) -> StripDiagram:
     total = sum(run[1] for run in runs)
     arcs: list[Arc] = []
     crossings: list[Crossing] = []
-    roles: list[str] = []
-    entry, slot, boxes = Endpoint(TOP, 1), 2, 0
+    entry, slot = Endpoint(TOP, 1), 2
     for role, count, edge, rail_sign, c, drop_sign in runs:
         for _ in range(count):
             ident = len(arcs) + 1
@@ -254,23 +250,18 @@ def build_strip(pres: I1Presentation) -> StripDiagram:
             entry = exit_ep.opposite()
             if rail_sign:
                 crossings.append(Crossing(ident, RAIL, rail_sign))
-                roles.append("rail-vertical")
         if c:
-            boxes += 1
             sign = 1 if c > 0 else -1
             crossings += [Crossing(ident, RAIL, sign),
                           Crossing(RAIL, ident, sign)] * abs(c)
-            roles += [f"box {boxes}"] * (2 * abs(c))
         if drop_sign:
             crossings.append(Crossing(ident, RAIL, drop_sign))
-            roles.append("rail-vertical")
     return StripDiagram(
         slots=slot - 1,
         arcs=tuple(arcs),
         crossings=tuple(crossings),
         start_arc=RAIL,
         start_forward=True,
-        crossing_roles=tuple(roles),
     )
 
 

@@ -1,9 +1,9 @@
 """Conway polynomial of a link, read off its Seifert matrix.
 
-An independent oracle for the continuant formula
-`presentations.conway_continuant`: it shares nothing with the continued
-fraction but the diagram builder and `seifert.seifert_matrix_data`.  Only
-tests use it, so it lives beside them and not in the package.
+An independent oracle for the continuants of `moth.conway_in_w`: it
+shares nothing with the continued fraction but the diagram builder and
+`seifert.seifert_matrix_data`.  Only tests use it, so it lives beside them
+and not in the package.
 """
 from __future__ import annotations
 

@@ -8,11 +8,12 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equibridge import cli, diagrams, moth, rationals, seifert
-from equibridge.cli import knot_report
-from equibridge.laurent import InvariantViolation
-from equibridge.presentations import inversions_from_fraction
+from equibridge.cli import analyze_presentation, knot_report
+from equibridge.laurent import InvariantViolation, lp_parse, zp_parse
+from equibridge.presentations import I1Presentation, inversions_from_fraction
 from equibridge.rationals import schubert_classes
 
 
@@ -527,3 +528,45 @@ def test_analyze_byte_identical_across_runs():
     a = run_cli("analyze", "--fraction", "9/4", "--format", "json")
     b = run_cli("analyze", "--fraction", "9/4", "--format", "json")
     assert a == b
+
+
+mirror_data = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-6, 6).filter(bool).map(lambda h: 2 * h),
+             min_size=n, max_size=n),
+    st.lists(st.integers(-6, 6).filter(bool), min_size=n, max_size=n),
+))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mirror_data)
+def test_mirror_presentation_negates_exactly_the_odd_invariants(data):
+    """I1(-alpha; -c) presents the mirror knot with the mirrored inversion:
+    its report negates the butterfly polynomial, both axis-linking numbers,
+    the witness value, nabla(L-hat) and the moth numerator, and keeps
+    nabla(K), both determinants, h1_order, the moth denominator and both
+    verdicts."""
+    alphas, cs = data
+    given_ = analyze_presentation(I1Presentation(tuple(alphas), tuple(cs)))
+    mirror = analyze_presentation(I1Presentation(tuple(-a for a in alphas),
+                                                 tuple(-c for c in cs)))
+
+    def negated_t(text):
+        val, coefficients = lp_parse(text)
+        return val, tuple(-x for x in coefficients)
+
+    assert (tuple(lp_parse(mirror["butterfly_polynomial"]))
+            == negated_t(given_["butterfly_polynomial"]))
+    assert tuple(lp_parse(mirror["moth"]["num"])) == negated_t(given_["moth"]["num"])
+    assert mirror["moth"]["den"] == given_["moth"]["den"]
+    lhat, mirror_lhat = (zp_parse(r["order"]["conway_lhat"]) for r in (given_, mirror))
+    assert mirror_lhat == tuple(-x for x in lhat)
+    assert mirror["axis_linking"] == {k: -v for k, v in given_["axis_linking"].items()}
+    slice_cert, mirror_cert = (r["slice_obstruction"] for r in (given_, mirror))
+    assert mirror_cert["verdict"] == slice_cert["verdict"]
+    witness = slice_cert["witness"]
+    assert mirror_cert["witness"] == {**witness, "value": -witness["value"]}
+    assert mirror["nullity"]["h1_order"] == given_["nullity"]["h1_order"]
+    for key in ("conway_knot", "determinant_knot"):
+        assert mirror[key] == given_[key], key
+    for key in ("verdict", "det_lhat", "moth_den"):
+        assert mirror["order"][key] == given_["order"][key], key

@@ -20,7 +20,7 @@ from equibridge.laurent import (
 from equibridge.diagrams import build_knot_diagram, build_lhat_diagram
 from equibridge.moth import order_certificate
 from equibridge.oracles import rf_make, subs_inv_equal, z_to_t
-from equibridge.presentations import I1Presentation, conway_continuant, parse_i1
+from equibridge.presentations import I1Presentation, parse_i1
 from equibridge.seifert import seifert_matrix_data
 
 from seifert_conway import conway_polynomial
@@ -203,10 +203,10 @@ def test_rf_make_cancels_a_common_factor(x, y, h):
 def _moth_inputs(pres):
     """(nabla(L-hat)/z, nabla(K)) in t: the two arguments of rf_make for the
     moth polynomial of a presentation."""
-    lhat = conway_continuant(pres.butterfly_cf(), -1)
-    knot = conway_continuant(pres.knot_cf(), 1)
+    cert = order_certificate(pres)
+    lhat = cert.conway_lhat
     assert lhat[0] == 0
-    return z_to_t(lhat[1:]), z_to_t(knot)
+    return z_to_t(lhat[1:]), z_to_t(cert.conway_knot)
 
 
 def test_continuant_moth_inputs_match_the_diagram_engine():

@@ -6,8 +6,11 @@ literal, or name `float`, `Fraction` or `Decimal`.
 
 The strip oracle and the closed formula are two routes to the butterfly
 polynomial, so `strip` imports nothing from `butterfly`.  Likewise the
-geometric route (`diagrams`, `seifert`) imports none of the arithmetic it
-checks.
+geometric route (`diagrams`, `seifert`) loads none of the arithmetic it
+checks, directly or through another module: its package-internal import
+closure is `laurent`, `presentations` and `rationals`, which hold the
+presentations and their fractions but no Conway polynomial, since those are
+computed in `moth`.
 """
 import ast
 from pathlib import Path
@@ -74,14 +77,30 @@ def test_strip_imports_nothing_from_butterfly():
     assert "equibridge.butterfly" not in imported
 
 
+def import_closure(names: list[str], package: str = "equibridge") -> set[str]:
+    """The modules of `package` that the named ones load, themselves
+    included: every module they import, directly or through each other."""
+    root = Path(equibridge.__file__).parent
+    seen: set[str] = set()
+    todo = list(names)
+    while todo:
+        path = root / f"{todo.pop()}.py"
+        if path.stem in seen or not path.is_file():
+            continue  # a name imported from a module, not a module
+        seen.add(path.stem)
+        todo += [module.removeprefix(f"{package}.") for module in
+                 imported_modules(path.read_text(), package)
+                 if module.startswith(f"{package}.")]
+    return {f"{package}.{name}" for name in seen}
+
+
 def test_geometry_imports_none_of_the_arithmetic_it_checks():
+    closure = import_closure(["diagrams", "seifert"])
+    assert closure == {f"equibridge.{name}" for name in
+                       ("diagrams", "seifert", "laurent", "presentations", "rationals")}
     arithmetic = {f"equibridge.{name}" for name in
-                  ("rationals", "butterfly", "moth", "strip", "oracles")}
-    for name in ("diagrams", "seifert"):
-        source = (Path(equibridge.__file__).parent / f"{name}.py").read_text()
-        imported = imported_modules(source, "equibridge")
-        assert "equibridge.laurent" in imported, name
-        assert imported & arithmetic == set(), name
+                  ("moth", "butterfly", "strip", "oracles")}
+    assert closure & arithmetic == set()
 
 
 def test_imported_modules_resolves_each_form():

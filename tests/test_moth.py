@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import time
 
@@ -5,13 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equibridge import cli, moth
-from equibridge.laurent import InvariantViolation, lp_parse, zp_parse
+from equibridge.laurent import InvariantViolation, lp_parse, zp_parse, zp_to_str
 from equibridge.moth import INFINITE_ORDER, OrderCertificate, order_certificate
 from equibridge.oracles import rf_make, subs_inv_equal, z_to_t
 from equibridge.presentations import (
     I1Presentation,
-    continuant_matrix,
-    conway_continuant,
     inversions_from_fraction,
     parse_i1,
 )
@@ -93,47 +93,34 @@ def test_order_certificate_of_40_pairs_is_fast():
 
 
 def test_det_from_conway_reads_both_parities():
-    assert moth._det_from_conway(zp_parse("1 + z^2")) == 3  # trefoil
-    assert moth._det_from_conway(zp_parse("1 - z^2")) == 5  # figure eight
-    assert moth._det_from_conway(zp_parse("z^3")) == 8
-    assert moth._det_from_conway(zp_parse("z + z^3")) == 6
-    with pytest.raises(InvariantViolation):
-        moth._det_from_conway(zp_parse("1 + z"))
+    assert moth._det_from_conway([1, 1], 0) == 3  # trefoil, 1 + z^2
+    assert moth._det_from_conway([1, -1], 0) == 5  # figure eight, 1 - z^2
+    assert moth._det_from_conway([0, 1], 1) == 8  # z^3
+    assert moth._det_from_conway([1, 1], 1) == 6  # z + z^3
+    assert moth._det_from_conway([], 0) == 0
 
 
 def _patch_continuant(monkeypatch, sign, row, col, extra):
-    """Add `extra` ({z power: coefficient}) to one continuant that `moth`
-    reads: entry (row, col) of the knot's `continuant_matrix` (sign 1), or
-    entry col of the butterfly's `continuant_row` (sign -1, row 0)."""
-    def bumped(entry):
-        out = list(entry) + [0] * (max(extra) + 1 - len(entry))
+    """Add `extra` ({w power: coefficient}) to one output of
+    `moth.conway_in_w`: entry (row, col) of the knot's matrix
+    [[A, zB], [zC, D]] (sign 1), or L = nabla(L-hat)/z (sign -1, row 0)."""
+    real = moth.conway_in_w
+    index = 2 * row + col if sign == 1 else 4
+
+    def wrong(pres):
+        out = [list(p) for p in real(pres)]
+        entry = out[index] + [0] * (max(extra) + 1 - len(out[index]))
         for e, c in extra.items():
-            out[e] += c
+            entry[e] += c
+        out[index] = entry
         return tuple(out)
 
-    if sign == 1:
-        real_matrix = moth.continuant_matrix
-
-        def wrong_matrix(entries, s):
-            rows = [list(r) for r in real_matrix(entries, s)]
-            rows[row][col] = bumped(rows[row][col])
-            return rows
-
-        monkeypatch.setattr(moth, "continuant_matrix", wrong_matrix)
-    else:
-        assert row == 0
-        real_row = moth.continuant_row
-
-        def wrong_row(entries, s):
-            pair = list(real_row(entries, s))
-            pair[col] = bumped(pair[col])
-            return tuple(pair)
-
-        monkeypatch.setattr(moth, "continuant_row", wrong_row)
+    assert sign == 1 or (row, col) == (0, 0)
+    monkeypatch.setattr(moth, "conway_in_w", wrong)
 
 
-@pytest.mark.parametrize("sign, name, extra", [(1, "knot", {2: 2}),
-                                               (-1, "butterfly", {3: 2})])
+@pytest.mark.parametrize("sign, name, extra", [(1, "knot", {1: 2}),
+                                               (-1, "butterfly", {1: 2})])
 def test_wrong_conway_polynomial_fails_the_determinant_check(
         monkeypatch, capsys, sign, name, extra):
     _patch_continuant(monkeypatch, sign, 0, 0, extra)
@@ -145,11 +132,11 @@ def test_wrong_conway_polynomial_fails_the_determinant_check(
 
 
 @pytest.mark.parametrize("sign, row, col, extra, message", [
-    # a wrong cofactor of the knot's continuant matrix
-    (1, 1, 0, {1: 2}, "knot continuant matrix does not have determinant 1"),
-    (1, 1, 1, {2: 1}, "knot continuant matrix does not have determinant 1"),
-    # 4 z^3 + z^5 vanishes at z = 2i, so the determinant checks still pass
-    (-1, 0, 0, {3: 4, 5: 1},
+    # a wrong C or D of the knot's continuant matrix
+    (1, 1, 0, {0: 2}, "knot continuant matrix does not have determinant 1"),
+    (1, 1, 1, {1: 1}, "knot continuant matrix does not have determinant 1"),
+    # 4w + w^2 vanishes at w = -4, so the determinant checks still pass
+    (-1, 0, 0, {1: 4, 2: 1},
      "butterfly-link Conway polynomial is not (b/2) z nabla(K) - K(x1..x(m-1))"),
 ])
 def test_wrong_cofactor_or_continuant_fails_the_moth_certificate(
@@ -163,16 +150,16 @@ def test_wrong_cofactor_or_continuant_fails_the_moth_certificate(
 
 
 def _certified(pres):
-    return moth.certified_moth(conway_continuant(pres.butterfly_cf(), -1),
-                               continuant_matrix(pres.knot_cf(), 1), pres.b)
+    return moth.certified_moth(moth.conway_in_w(pres), pres.b)
 
 
 def _gcd_reduced(pres):
-    """The oracle: the same quotient through z_to_t and the Z[t] gcd."""
-    lhat = conway_continuant(pres.butterfly_cf(), -1)
-    knot = conway_continuant(pres.knot_cf(), 1)
+    """The oracle: the same quotient through z_to_t and the Z[t] gcd, from
+    the report's polynomials in z."""
+    cert = order_certificate(pres)
+    lhat = cert.conway_lhat
     assert lhat[0] == 0
-    return rf_make(z_to_t(lhat[1:]), z_to_t(knot))
+    return rf_make(z_to_t(lhat[1:]), z_to_t(cert.conway_knot))
 
 
 def test_certified_moth_matches_the_gcd_reduction_up_to_p_101():
@@ -206,3 +193,23 @@ def test_certified_moth_of_200_pairs_is_fast():
     assert time.perf_counter() - start < 1
     # nothing cancels: the denominator keeps all 2 * 200 roots of nabla(K)
     assert m.den.val == 0 and len(m.den.cs) == 401
+
+
+def test_certificates_up_to_p_201_are_pinned():
+    """Every inversion of the p <= 201 table, its knot Conway polynomial and
+    its certificate in one digest, recorded before the Conway polynomials
+    moved from z to w."""
+    digest = hashlib.sha256()
+    count = 0
+    for p, q in schubert_classes(201):
+        pair = inversions_from_fraction(p, q)
+        for pres in (pair.inv1, pair.inv2):
+            if pres is not None:
+                cert = order_certificate(pres)
+                line = json.dumps([str(pres), zp_to_str(cert.conway_knot),
+                                   cert.to_json()], sort_keys=True)
+                digest.update(f"{line}\n".encode())
+                count += 1
+    assert count == 6161
+    assert digest.hexdigest() == (
+        "a5f4835561675a0f13f8bea0e87565033c8a6b52522f6f55a41a6785714f6442")

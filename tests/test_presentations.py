@@ -7,14 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from equibridge.butterfly import AxisLinkWitness, ReducedAxisLinkWitness
 from equibridge.diagrams import build_knot_diagram, build_lhat_diagram
-from equibridge.laurent import DomainError, zp_parse
-from equibridge.moth import _det_from_conway
+from equibridge.laurent import zp_parse
+from equibridge.moth import _det_from_conway, _in_z, conway_in_w
 from equibridge.presentations import (
     I1Presentation,
     ParseError,
-    continuant_matrix,
-    continuant_row,
-    conway_continuant,
     inversions_from_fraction,
     parse_i1,
 )
@@ -172,38 +169,55 @@ def test_inversions_schubert_equivalent_sweep():
 
 
 def test_conway_continuant_examples():
-    assert conway_continuant([], 1) == zp_parse("1")
-    assert conway_continuant([2, -2], 1) == zp_parse("1 + z^2")  # trefoil
-    assert conway_continuant([2, 2], 1) == zp_parse("1 - z^2")  # figure eight
-    assert conway_continuant([2], -1) == zp_parse("-z")  # Hopf link
-    # b = 0: the butterfly entries of I1(2,-2;1,1) end in 0, so the last
-    # step of the recurrence leaves zeros above the top term
-    lhat = conway_continuant([2, -2, -2, -2, 0], -1)
-    assert lhat == zp_parse("z^3") and lhat[-1] != 0
-    with pytest.raises(DomainError):
-        conway_continuant([2, 3], 1)
+    # (A, B, C, D, L) in w = z^2: the knot's matrix [[A, zB], [zC, D]] and
+    # nabla(L-hat) = zL
+    assert conway_in_w(parse_i1("2;1")) == ([1, 1], [1], [1], [1], [0, 1])  # trefoil
+    figure_eight = conway_in_w(parse_i1("2;-1"))[0]
+    assert _in_z(figure_eight, 0) == zp_parse("1 - z^2")
+    assert _in_z(conway_in_w(parse_i1("4;-3"))[4], 1) == zp_parse("-12*z^3")
+    # b = 0: L is the negated pairs' B alone, whose top slot stays zero
+    lhat = conway_in_w(parse_i1("2,-2;1,1"))[4]
+    assert _in_z(lhat, 1) == zp_parse("z^3") and lhat[-1] != 0
 
 
-@given(st.lists(st.integers(-6, 6).map(lambda h: 2 * h), max_size=12),
-       st.sampled_from([1, -1]))
-def test_continuant_matrix_is_the_product_of_its_steps(entries, sign):
-    """At integer z, each entry of `continuant_matrix` is that entry of the
-    integer product of [[x_i, 1], [1, 0]]; every polynomial is trimmed."""
-    rows = continuant_matrix(entries, sign)
-    assert rows[0] == continuant_row(entries, sign)
-    assert all(not poly or poly[-1] for row in rows for poly in row)
+def _product(entries, sign, z):
+    """The integer product of [[x_i, 1], [1, 0]], x_i = +-sign*(e_i/2)*z
+    with the sign alternating from + at the first entry."""
+    product = [[1, 0], [0, 1]]
+    for i, e in enumerate(entries):
+        x = (sign if i % 2 == 0 else -sign) * (e // 2) * z
+        product = [[a * x + b, a] for a, b in product]
+    return product
+
+
+pair_data = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-6, 6).filter(bool).map(lambda h: 2 * h),
+             min_size=n, max_size=n),
+    st.lists(st.integers(-6, 6).filter(bool), min_size=n, max_size=n),
+))
+
+
+@given(pair_data)
+def test_continuant_matrix_is_the_product_of_its_steps(data):
+    """At integer z, [[A, zB], [zC, D]] of `conway_in_w` is the product
+    over the knot's continued fraction, and zL the top-left entry of the
+    product over the butterfly's with every sign flipped; every polynomial
+    is trimmed."""
+    pres = I1Presentation(*map(tuple, data))
+    out = conway_in_w(pres)
+    assert all(not poly or poly[-1] for poly in out)
+    A, B, C, D, L = out
     for z in (-3, -1, 1, 2, 5):
-        product = [[1, 0], [0, 1]]
-        for i, e in enumerate(entries):
-            x = (sign if i % 2 == 0 else -sign) * (e // 2) * z
-            product = [[a * x + b, a] for a, b in product]
-        assert [[sum(c * z**k for k, c in enumerate(poly)) for poly in row]
-                for row in rows] == product
+        def at(poly):
+            return sum(c * z**(2 * k) for k, c in enumerate(poly))
+        assert [[at(A), z * at(B)], [z * at(C), at(D)]] == _product(
+            pres.knot_cf(), 1, z)
+        assert z * at(L) == _product(pres.butterfly_cf(), -1, z)[0][0]
 
 
 def _continuant_conways(pres):
-    return (conway_continuant(pres.knot_cf(), 1),
-            conway_continuant(pres.butterfly_cf(), -1))
+    A, *_, L = conway_in_w(pres)
+    return _in_z(A, 0), _in_z(L, 1)
 
 
 def _seifert_conways(pres):
@@ -246,4 +260,4 @@ def test_knot_surface_determinant_equals_the_arithmetic_routes(data):
     pres = I1Presentation(*map(tuple, data))
     det = determinant(seifert_matrix_data(build_knot_diagram(pres)))
     assert det == abs(pres.knot_fraction.p)
-    assert det == _det_from_conway(conway_continuant(pres.knot_cf(), 1))
+    assert det == _det_from_conway(conway_in_w(pres)[0], 0)

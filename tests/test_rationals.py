@@ -107,6 +107,26 @@ def test_schubert_classes_examples():
     assert all(p % 2 == 1 and q % 2 == 0 and gcd(p, q) == 1 for p, q in table)
 
 
+def test_schubert_classes_list_every_knot_once_per_even_chirality():
+    """K(p, q) = K(p, q') iff q' = q^(+-1) mod p, and K(p, -q) is the mirror
+    (Schubert 1956).  Up to p <= 101 every orbit {+-q^(+-1)} mod p has a
+    record, no two records are the same knot, and a chiral knot is listed
+    in both chiralities when both have an even representative."""
+    def knot(p, q):
+        return p, frozenset({q % p, pow(q, -1, p)})
+
+    def up_to_mirror(p, q):
+        return knot(p, q)[1] | knot(p, -q)[1]
+
+    records = schubert_classes(101)
+    assert len({knot(p, q) for p, q in records}) == len(records) == 808
+    orbits = {(p, up_to_mirror(p, q)) for p in range(3, 102, 2)
+              for q in range(1, p) if gcd(p, q) == 1}
+    listed = [(p, up_to_mirror(p, q)) for p, q in records]
+    assert set(listed) == orbits and len(orbits) == 570
+    assert len(listed) - len(orbits) == 238  # orbits listed twice
+
+
 @given(st.integers(-40, 40), st.integers(-40, 40))
 def test_frac_make_normal_form(p, q):
     if p == 0 and q == 0:
