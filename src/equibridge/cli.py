@@ -4,7 +4,8 @@ the randomized verification harness.
 Every start imports this module.  A standard-library module that only one
 branch uses is imported in that branch: `concurrent.futures` by a `table`
 pool, `csv` by `table --format csv` and `random` by `verify`.  The package
-modules are all imported here, since `analyze` and `table` run them.
+modules that `analyze` and `table` run are imported here; `oracles` only by
+`verify` and `oracle eta`, in their own bodies.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from .butterfly import (
 from .diagrams import build_knot_diagram, build_lhat_diagram
 from .seifert import determinant, seifert_matrix_data
 from .moth import order_certificate
-from .strip import build_strip, label_strip, eta_from_strip, eta_oracle, parse_strip, print_strip, strip_census
+from .strip import eta_oracle
 
 if TYPE_CHECKING:
     import random
@@ -290,7 +291,7 @@ def cmd_verify(args) -> int:
         return 2
     import random
 
-    from .oracles import rf_make, subs_inv_equal, z_to_t  # only verify loads the oracles
+    from .oracles import rf_make, subs_inv_equal, z_to_t
     rng = random.Random(args.seed)
     # (suite name, presentation, exception raised or None for a mismatch)
     failures: list[tuple[str, I1Presentation, Optional[Exception]]] = []
@@ -365,6 +366,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle_eta(args) -> int:
+    from .oracles import (build_strip, eta_from_strip, label_strip, parse_strip,
+                          print_strip, strip_census)
     try:
         if args.strip:
             with open(args.strip) as fh:

@@ -1,13 +1,14 @@
 """Exact Laurent polynomials in t and z and rational functions in t, as
-dense values, with their renderers and parsers.
+dense values, with their renderers.
 
 A polynomial in t is a `TCoeffs`: its valuation and its integer
 coefficients, low to high, with both ends non-zero; `lp` is the one
 normalizer.  A polynomial in z is a `ZCoeffs`, and a rational function the
 pair `RationalFn`.  The production path builds these values directly and
 renders them; there is no arithmetic on them here.  The moth's second
-route, which does arithmetic on them, is in `oracles`.  No floating point
-anywhere.
+route, which does arithmetic on them, is in `oracles`.  No command parses
+polynomials; the tests' parsers are in `tests/notation.py`.  No floating
+point anywhere.
 
 The module also holds what every other module shares: the two error types
 and the two helpers that give the package's records value semantics,
@@ -15,7 +16,6 @@ and the two helpers that give the package's records value semantics,
 """
 from __future__ import annotations
 
-import re
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -133,46 +133,6 @@ def lp_to_str(f: TCoeffs, var: str = "t") -> str:
     return " ".join(parts) or "0"
 
 
-# Compiled on first use (the re module caches it): no command parses
-# polynomials, so a start should not pay for the compilation.
-_TERM_PATTERN = (
-    r"\s*(?P<sign>[+-]?)\s*(?:"
-    r"(?P<coeff>\d+)\s*\*?\s*t(?:\^(?P<exp1>-?\d+))?"
-    r"|t(?:\^(?P<exp2>-?\d+))?"
-    r"|(?P<const>\d+)"
-    r")"
-)
-
-
-def lp_parse(text: str) -> TCoeffs:
-    """Parse the rendering produced by lp_to_str."""
-    out: dict[int, int] = {}
-    pos = 0
-    s = text.strip()
-    if not s:
-        raise DomainError("empty polynomial text")
-    if s == "0":
-        return TCoeffs(0, ())
-    term = re.compile(_TERM_PATTERN)
-    while pos < len(s):
-        m = term.match(s, pos)
-        if m is None:
-            raise DomainError(f"cannot parse polynomial at {s[pos:]!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        if m.group("const") is not None:
-            e, mag = 0, int(m.group("const"))
-        else:
-            mag = int(m.group("coeff")) if m.group("coeff") else 1
-            exp = m.group("exp1") or m.group("exp2")
-            e = int(exp) if exp is not None else 1
-        out[e] = out.get(e, 0) + sign * mag
-        pos = m.end()
-        while pos < len(s) and s[pos] == " ":
-            pos += 1
-    lo = min(out)
-    return lp(lo, (out.get(e, 0) for e in range(lo, max(out) + 1)))
-
-
 # A polynomial in the skein variable z: its integer coefficients, low to
 # high, with trailing zeros trimmed (the zero polynomial is ()).
 ZCoeffs = tuple[int, ...]
@@ -181,11 +141,3 @@ ZCoeffs = tuple[int, ...]
 def zp_to_str(p: Sequence[int]) -> str:
     """Render a polynomial in z, given as coefficients low to high."""
     return lp_to_str((0, p), "z")
-
-
-def zp_parse(text: str) -> ZCoeffs:
-    """Parse the rendering of zp_to_str into trimmed coefficients."""
-    val, cs = lp_parse(text.replace("z", "t"))
-    if val < 0:
-        raise DomainError("negative power of z")
-    return (0,) * val + cs if cs else ()

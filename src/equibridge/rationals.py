@@ -194,14 +194,9 @@ def schubert_classes(max_p: int) -> list[tuple[int, int]]:
     """
     out: list[tuple[int, int]] = []
     for p in range(3, max_p + 1, 2):
-        seen: set[int] = set()
         for q in range(2, p, 2):
-            if gcd(p, q) != 1:
-                continue
-            qi = pow(q, -1, p)
-            rep = min([q] + ([qi] if qi % 2 == 0 else []))
-            if rep not in seen:
-                seen.add(rep)
-                if rep == q:
+            if gcd(p, q) == 1:
+                qi = pow(q, -1, p)
+                if qi % 2 or qi >= q:  # q is its class's least even member
                     out.append((p, q))
     return out

@@ -15,7 +15,7 @@ from equibridge.butterfly import (
     reduce_if_b_zero,
 )
 from equibridge.diagrams import build_knot_diagram, build_lhat_diagram, build_plat_diagram
-from equibridge.laurent import TCoeffs, lp_is_eta_admissible, zp_parse
+from equibridge.laurent import TCoeffs, lp_is_eta_admissible
 from equibridge.moth import order_certificate
 from equibridge.presentations import (
     I1Presentation,
@@ -26,6 +26,7 @@ from equibridge.rationals import eval_cf, schubert_classes
 from equibridge.seifert import determinant, seifert_matrix_data
 from equibridge.strip import eta_oracle
 
+from notation import zp_parse
 from seifert_conway import conway_polynomial
 from skein_oracle import skein_conway
 

@@ -14,9 +14,11 @@ from equibridge.butterfly import (
     reduce_if_b_zero,
 )
 from equibridge.cli import random_presentation
-from equibridge.laurent import InvariantViolation, lp_is_eta_admissible, lp_parse
+from equibridge.laurent import InvariantViolation, lp_is_eta_admissible
 from equibridge.presentations import I1Presentation, inversions_from_fraction, parse_i1
 from equibridge.rationals import Frac, schubert_classes
+
+from notation import lp_parse
 
 
 def test_generator_family():

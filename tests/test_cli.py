@@ -10,11 +10,20 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equibridge import cli, diagrams, moth, rationals, seifert
+from equibridge import cli, diagrams, moth, rationals, seifert, strip
+from equibridge.butterfly import (
+    axis_linking,
+    butterfly_polynomial,
+    equivariant_slice_obstruction,
+    nullity_obstruction,
+)
 from equibridge.cli import analyze_presentation, knot_report
-from equibridge.laurent import InvariantViolation, lp_parse, zp_parse
+from equibridge.laurent import InvariantViolation
+from equibridge.moth import order_certificate
 from equibridge.presentations import I1Presentation, inversions_from_fraction
 from equibridge.rationals import schubert_classes
+
+from notation import lp_parse, zp_parse
 
 
 # Child interpreters import the package from the same source tree as this
@@ -161,15 +170,18 @@ def test_moth_import_leaves_the_geometry_out():
 
 
 def test_only_verify_loads_the_oracles():
-    code = ("import sys, equibridge.cli as c; "
-            "assert c.main(['analyze', '--fraction', '17/12']) == 0; "
-            "assert c.main(['table', '--max-p', '9']) == 0; "
-            "before = 'equibridge.oracles' in sys.modules; "
-            "assert c.main(['verify', '--samples', '10']) == 0; "
-            "print(before, 'equibridge.oracles' in sys.modules, file=sys.stderr)")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=CHILD_ENV)
-    assert proc.returncode == 0 and proc.stderr.splitlines()[-1] == "False True"
+    """`analyze` and `table` leave `oracles` unloaded; `verify` and
+    `oracle eta`, the two commands that run an oracle, each load it."""
+    for command in ("['verify', '--samples', '10']", "['oracle', 'eta', '--i1', '2;1']"):
+        code = ("import sys, equibridge.cli as c; "
+                "assert c.main(['analyze', '--fraction', '17/12']) == 0; "
+                "assert c.main(['table', '--max-p', '9']) == 0; "
+                "before = 'equibridge.oracles' in sys.modules; "
+                f"assert c.main({command}) == 0; "
+                "print(before, 'equibridge.oracles' in sys.modules, file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=CHILD_ENV)
+        assert proc.returncode == 0 and proc.stderr.splitlines()[-1] == "False True"
 
 
 def test_table_report_bytes_are_pinned(tmp_path):
@@ -308,6 +320,43 @@ def test_internal_check_failure_exits_3(monkeypatch, capsys):
     assert fails and all(
         line.startswith("FAIL [moth properties]: raised InvariantViolation: ")
         for line in fails)
+
+
+def _walk_one_descender_short(monkeypatch):
+    """Patch the strip walk of I1(4;1), and of no other presentation, one
+    descender short: its label walk then closes one label up."""
+    real = strip._walk_runs
+    target = I1Presentation((4,), (1,))
+
+    def walk_runs(pres):
+        runs = real(pres)
+        if pres != target:
+            return runs
+        return runs[:-1] + [("final vertical", 1, "bottom", -1, 0, 0)]
+
+    monkeypatch.setattr(strip, "_walk_runs", walk_runs)
+
+
+def test_strip_walk_failure_exits_3(monkeypatch, capsys):
+    """The strip walk of a valid presentation failing is an internal error,
+    not bad input."""
+    _walk_one_descender_short(monkeypatch)
+    assert cli.main(["analyze", "--i1=4;1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: internal check failed: "
+                            "label walk closes with net shift 1\n")
+
+
+def test_strip_walk_failure_in_table_keeps_the_earlier_records(monkeypatch, capsys):
+    _walk_one_descender_short(monkeypatch)
+    assert cli.main(["table", "--max-p", "9"]) == 3
+    captured = capsys.readouterr()
+    # I1(4;1) is the first inversion of class (7, 2).
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    assert [(r["p"], r["q"]) for r in records] == [(3, 2), (5, 2), (5, 4)]
+    assert captured.err == ("error: internal check failed: "
+                            "label walk closes with net shift 1\n")
 
 
 class RecordingPool:
@@ -453,7 +502,7 @@ def test_oracle_eta_subcommand():
 
 
 def test_oracle_eta_strip_file(tmp_path):
-    from equibridge.strip import build_strip, print_strip
+    from equibridge.oracles import build_strip, print_strip
     from equibridge.presentations import parse_i1
 
     path = tmp_path / "s.strip"
@@ -570,3 +619,50 @@ def test_mirror_presentation_negates_exactly_the_odd_invariants(data):
         assert mirror[key] == given_[key], key
     for key in ("verdict", "det_lhat", "moth_den"):
         assert mirror["order"][key] == given_["order"][key], key
+
+
+def test_mirror_pairs_of_the_p201_table_negate_exactly_the_odd_invariants():
+    """Every chiral knot listed in both chiralities at p <= 201: the mirror
+    record's inversions are I1(-alpha; -c) of the record's own, in either
+    order, and the arithmetic routes obey the rules of the test above."""
+    listed = set(schubert_classes(201))
+    pairs = set()
+    for p, q in listed:
+        # The mirror class {-q, -q^(-1)} mod p is listed by its least even
+        # member; -q itself is odd, so it has one only when q^(-1) is odd.
+        qi = pow(q, -1, p)
+        if qi % 2 and p - qi != q:
+            assert (p, p - qi) in listed
+            pairs.add((p, min(q, p - qi), max(q, p - qi)))
+    assert len(pairs) == 994
+
+    def negated(f):
+        return f.val, tuple(-x for x in f.cs)
+
+    checked = 0
+    for p, q, mirror_q in sorted(pairs):
+        own, listed_mirrors = ([pres for pres in inversions_from_fraction(p, r)[:2] if pres]
+                               for r in (q, mirror_q))
+        mirrors = [I1Presentation(tuple(-a for a in pres.alphas),
+                                  tuple(-c for c in pres.cs)) for pres in own]
+        # By value: the mirror record may list the two in the other order.
+        assert set(listed_mirrors) == set(mirrors)
+        for pres, mirror in zip(own, mirrors):
+            assert butterfly_polynomial(mirror) == negated(butterfly_polynomial(pres))
+            assert axis_linking(mirror) == tuple(-x for x in axis_linking(pres))
+            slice_cert, mirror_cert = (equivariant_slice_obstruction(x).to_json()
+                                       for x in (pres, mirror))
+            assert mirror_cert["verdict"] == slice_cert["verdict"]
+            witness = slice_cert["witness"]
+            assert mirror_cert["witness"] == {**witness, "value": -witness["value"]}
+            assert (nullity_obstruction(mirror).h1_order
+                    == nullity_obstruction(pres).h1_order)
+            order, mirror_order = (order_certificate(x) for x in (pres, mirror))
+            assert mirror_order.conway_lhat == tuple(-x for x in order.conway_lhat)
+            assert mirror_order.moth.num == negated(order.moth.num)
+            assert mirror_order.moth.den == order.moth.den
+            for key in ("verdict", "conway_knot", "determinant_knot",
+                        "determinant_lhat"):
+                assert getattr(mirror_order, key) == getattr(order, key), key
+            checked += 1
+    assert checked == 1988

@@ -5,6 +5,9 @@ from collections import Counter
 import pytest
 
 from equibridge.diagrams import (
+    _flip_component,
+    _marker_flow,
+    _orient_band_coherent,
     build_knot_diagram,
     build_lhat_diagram,
     build_plat_diagram,
@@ -14,7 +17,9 @@ from equibridge.cli import random_presentation
 from equibridge.laurent import DomainError
 from equibridge.presentations import inversions_from_fraction, parse_i1
 from equibridge.rationals import eval_cf, schubert_classes
-from equibridge.seifert import seifert_circles, seifert_matrix_data
+from equibridge.seifert import determinant, seifert_circles, seifert_matrix_data
+
+from seifert_conway import conway_polynomial
 
 
 def test_plat_examples():
@@ -49,6 +54,34 @@ def test_lhat_anti_parallel_final_marker():
     pd = build_lhat_diagram(parse_i1("2;1"))
     mu, ml = pd.final_marker
     assert pd.component_of[mu[0]] != pd.component_of[ml[0]]
+
+
+def test_band_coherent_orientation_from_either_flipped_component():
+    """Whichever component of a butterfly plat is reversed first, the
+    band-coherent orientation is `build_lhat_diagram`'s or its total
+    reverse: linking number 0, and the same determinant and Conway
+    polynomial, which unlike those two depends on the relative
+    orientation."""
+    count = 0
+    for p, q in schubert_classes(15):
+        for pres in filter(None, inversions_from_fraction(p, q)[:2]):
+            data = seifert_matrix_data(build_lhat_diagram(pres))
+            for component in (0, 1):
+                pd = build_plat_diagram(pres.butterfly_cf())
+                mu, ml = pd.final_marker
+                _flip_component(pd, component)
+                assert all(pd.direction[eid] == d for comp in pd.components
+                           for eid, d in comp)
+                # The plat comes band-coherent, so one flip makes it parallel.
+                assert _marker_flow(pd, mu) == _marker_flow(pd, ml)
+                _orient_band_coherent(pd)
+                assert _marker_flow(pd, mu) != _marker_flow(pd, ml)
+                assert linking_number(pd) == 0
+                flipped = seifert_matrix_data(pd)
+                assert determinant(flipped) == determinant(data)
+                assert conway_polynomial(flipped) == conway_polynomial(data)
+                count += 1
+    assert count == 64
 
 
 def test_linking_number_examples():

@@ -12,9 +12,7 @@ from equibridge.laurent import (
     TCoeffs,
     lp as normal,
     lp_is_eta_admissible,
-    lp_parse,
     lp_to_str,
-    zp_parse,
     zp_to_str,
 )
 from equibridge.diagrams import build_knot_diagram, build_lhat_diagram
@@ -23,6 +21,7 @@ from equibridge.oracles import rf_make, subs_inv_equal, z_to_t
 from equibridge.presentations import I1Presentation, parse_i1
 from equibridge.seifert import seifert_matrix_data
 
+from notation import lp_parse, zp_parse
 from seifert_conway import conway_polynomial
 
 ZERO = TCoeffs(0, ())

@@ -11,6 +11,10 @@ checks, directly or through another module: its package-internal import
 closure is `laurent`, `presentations` and `rationals`, which hold the
 presentations and their fractions but no Conway polynomial, since those are
 computed in `moth`.
+
+`oracles` sits behind a boundary from both sides: no module of the
+arithmetic path loads it, and it loads neither `butterfly` nor `moth`,
+whose results it checks.
 """
 import ast
 from pathlib import Path
@@ -101,6 +105,19 @@ def test_geometry_imports_none_of_the_arithmetic_it_checks():
     arithmetic = {f"equibridge.{name}" for name in
                   ("moth", "butterfly", "strip", "oracles")}
     assert closure & arithmetic == set()
+
+
+def test_the_arithmetic_path_loads_no_oracle():
+    closure = import_closure(["strip", "butterfly", "moth", "presentations",
+                              "rationals", "laurent"])
+    assert "equibridge.moth" in closure
+    assert "equibridge.oracles" not in closure
+
+
+def test_oracles_import_nothing_they_check():
+    closure = import_closure(["oracles"])
+    assert "equibridge.strip" in closure
+    assert closure & {"equibridge.butterfly", "equibridge.moth"} == set()
 
 
 def test_imported_modules_resolves_each_form():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equibridge import cli, moth
-from equibridge.laurent import InvariantViolation, lp_parse, zp_parse, zp_to_str
+from equibridge.laurent import InvariantViolation, zp_to_str
 from equibridge.moth import INFINITE_ORDER, OrderCertificate, order_certificate
 from equibridge.oracles import rf_make, subs_inv_equal, z_to_t
 from equibridge.presentations import (
@@ -18,6 +18,8 @@ from equibridge.presentations import (
 from equibridge.rationals import schubert_classes
 from equibridge.butterfly import butterfly_polynomial
 from equibridge.cli import random_presentation
+
+from notation import lp_parse, zp_parse
 
 
 def test_moth_of_trefoil_presentation():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from equibridge.butterfly import AxisLinkWitness, ReducedAxisLinkWitness
 from equibridge.diagrams import build_knot_diagram, build_lhat_diagram
-from equibridge.laurent import zp_parse
 from equibridge.moth import _det_from_conway, _in_z, conway_in_w
 from equibridge.presentations import (
     I1Presentation,
@@ -18,6 +17,7 @@ from equibridge.presentations import (
 from equibridge.rationals import Frac, schubert_classes, two_bridge_equiv
 from equibridge.seifert import determinant, seifert_matrix_data
 
+from notation import zp_parse
 from seifert_conway import conway_polynomial
 
 

@@ -7,8 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from equibridge.cli import random_presentation
-from equibridge.diagrams import build_knot_diagram, build_lhat_diagram, build_plat_diagram
-from equibridge.laurent import DomainError, InvariantViolation, zp_parse
+from equibridge.diagrams import (
+    OrientedPD,
+    PDEdge,
+    build_knot_diagram,
+    build_lhat_diagram,
+    build_plat_diagram,
+)
+from equibridge.laurent import DomainError, InvariantViolation
+from equibridge.presentations import inversions_from_fraction
+from equibridge.rationals import schubert_classes
 from equibridge.seifert import (
     _bareiss_det,
     _fundamental_cycles,
@@ -16,6 +24,7 @@ from equibridge.seifert import (
     seifert_matrix_data,
 )
 
+from notation import zp_parse
 from seifert_conway import conway_polynomial, interp_poly
 from skein_oracle import skein_conway
 
@@ -129,6 +138,36 @@ def test_alexander_symmetry_of_seifert_determinant():
         p = p + [0] * (g + 1 - len(p))
         sign = (-1) ** g
         assert all(p[k] == sign * p[g - k] for k in range(g + 1))
+
+
+def renumbered_in_reverse(pd):
+    """The same oriented diagram with its edges numbered last to first."""
+    last = len(pd.edges) - 1
+    out = OrientedPD(pd.crossings,
+                     [PDEdge(last - e.ident, e.a, e.b, e.points) for e in reversed(pd.edges)],
+                     [last - eid for eid in pd.slot_edge], pd.free_loops)
+    out.direction = pd.direction[::-1]
+    out.component_of = pd.component_of[::-1]
+    out.components = [[(last - eid, d) for eid, d in comp] for comp in pd.components]
+    return out
+
+
+def test_seifert_invariants_do_not_depend_on_edge_order():
+    """Numbering the edges the other way round roots the spanning tree at
+    another circle, so the tree paths of a band's two ends share a top to
+    trim, and a band's end 1 may lie on the outer circle.  The determinant
+    and the Conway polynomial must not change."""
+    count = 0
+    for p, q in schubert_classes(15):
+        for pres in filter(None, inversions_from_fraction(p, q)[:2]):
+            for build in (build_knot_diagram, build_lhat_diagram):
+                pd = build(pres)
+                data, reordered = (seifert_matrix_data(x)
+                                   for x in (pd, renumbered_in_reverse(pd)))
+                assert determinant(reordered) == determinant(data)
+                assert conway_polynomial(reordered) == conway_polynomial(data)
+                count += 1
+    assert count == 64
 
 
 def _seifert_outcome(build, arg):

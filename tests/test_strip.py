@@ -7,10 +7,9 @@ import pytest
 
 from equibridge.butterfly import butterfly_polynomial
 from equibridge.cli import random_presentation
-from equibridge.laurent import lp_is_eta_admissible
 from equibridge import strip
-from equibridge.presentations import I1Presentation, parse_i1
-from equibridge.strip import (
+from equibridge.laurent import InvariantViolation, lp_is_eta_admissible
+from equibridge.oracles import (
     Arc,
     Crossing,
     Endpoint,
@@ -18,12 +17,13 @@ from equibridge.strip import (
     StripError,
     build_strip,
     eta_from_strip,
-    eta_oracle,
     label_strip,
     parse_strip,
     print_strip,
     strip_census,
 )
+from equibridge.presentations import I1Presentation, parse_i1
+from equibridge.strip import eta_oracle
 
 
 def test_build_counts_for_small_example():
@@ -261,14 +261,14 @@ def test_run_walk_must_return_to_the_rail_at_label_zero(monkeypatch):
     # One descender short, the walk re-enters the rail one label up.
     short = runs[:-1] + [("final vertical", 1, "bottom", -1, 0, 0)]
     monkeypatch.setattr(strip, "_walk_runs", lambda p: short)
-    with pytest.raises(StripError, match="net shift 1"):
+    with pytest.raises(InvariantViolation, match="net shift 1"):
         eta_oracle(pres)
     with pytest.raises(StripError, match="net shift 1"):
         label_strip(build_strip(pres))
     # Leaving by the top edge, the walk cannot re-enter the rail at all.
     upward = runs[:-1] + [("final vertical", 1, "top", 0, 0, 0)]
     monkeypatch.setattr(strip, "_walk_runs", lambda p: upward)
-    with pytest.raises(StripError, match="does not return to the rail"):
+    with pytest.raises(InvariantViolation, match="does not return to the rail"):
         eta_oracle(pres)
     with pytest.raises(StripError, match="used twice"):
         build_strip(pres)
