@@ -64,19 +64,20 @@ NOT_EQUIVARIANTLY_SLICE = "NotEquivariantlySlice"
 
 
 class SliceObstructionCertificate(Frozen):
-    _fields = ("verdict", "witness", "trace")
+    """The non-sliceness verdict, which only a non-zero witness backs."""
 
-    def __init__(self, verdict: str, witness: Optional[Witness],
-                 trace: tuple[str, ...]):
-        if verdict == NOT_EQUIVARIANTLY_SLICE:
-            if witness is None or witness.value == 0:
-                raise InvariantViolation("non-sliceness verdict without a witness")
-        vars(self).update(verdict=verdict, witness=witness, trace=trace)
+    verdict = NOT_EQUIVARIANTLY_SLICE
+    _fields = ("witness", "trace")
+
+    def __init__(self, witness: Witness, trace: tuple[str, ...]):
+        if witness is None or witness.value == 0:
+            raise InvariantViolation("non-sliceness verdict without a witness")
+        vars(self).update(witness=witness, trace=trace)
 
     def to_json(self) -> dict:
         return {
             "verdict": self.verdict,
-            "witness": self.witness.to_json() if self.witness else None,
+            "witness": self.witness.to_json(),
             "trace": list(self.trace),
         }
 
@@ -100,8 +101,7 @@ def equivariant_slice_obstruction(pres: I1Presentation) -> SliceObstructionCerti
     """
     witness = _axis_link_witness(pres)
     if witness is not None:
-        return SliceObstructionCertificate(
-            NOT_EQUIVARIANTLY_SLICE, witness, (str(pres),))
+        return SliceObstructionCertificate(witness, (str(pres),))
     reduced = reduce_if_b_zero(pres)
     if reduced is None:
         raise InvariantViolation(
@@ -111,8 +111,7 @@ def equivariant_slice_obstruction(pres: I1Presentation) -> SliceObstructionCerti
         raise InvariantViolation(
             f"axis-linking reduction exceeded depth 1 for {pres}")
     return SliceObstructionCertificate(
-        NOT_EQUIVARIANTLY_SLICE, ReducedAxisLinkWitness(1, witness.value),
-        (str(pres), str(reduced)))
+        ReducedAxisLinkWitness(1, witness.value), (str(pres), str(reduced)))
 
 
 @typed_equality

@@ -10,7 +10,8 @@ exactly.
 
 Crossing geometry is canonical: strand A occupies the NW-SE diagonal and
 strand B the SW-NE diagonal.  With both strands oriented NW->SE and SW->NE
-the crossing sign is +1 exactly when A is on top.
+the crossing sign is +1 exactly when A is on top, so a crossing is nothing
+but that over-flag: its place in the plane is fixed by its four edges.
 
 An edge meets a crossing at an anchor, the integer 4 * crossing + slot for
 the corner slots NW, NE, SE, SW below.  Strand A holds the even slots and
@@ -28,38 +29,30 @@ Point = tuple[int, int]
 NW, NE, SE, SW = range(4)
 
 
-class PDCrossing:
-    """A crossing at (x, y) and whether strand A, the NW-SE one, is on top."""
-
-    __slots__ = ("x", "y", "over_a")
-
-    def __init__(self, x: int, y: int, over_a: bool):
-        self.x, self.y, self.over_a = x, y, over_a
-
-
 class PDEdge:
     """An edge along the polyline `points`, from anchor a to anchor b."""
 
     # A plain class, not a NamedTuple: the diagram and Seifert loops read
     # these attributes often, and a slot reads faster than a tuple field.
-    __slots__ = ("ident", "a", "b", "points")
+    __slots__ = ("a", "b", "points")
 
-    def __init__(self, ident: int, a: int, b: int, points: list[Point]):
-        self.ident, self.a, self.b, self.points = ident, a, b, points
+    def __init__(self, a: int, b: int, points: list[Point]):
+        self.a, self.b, self.points = a, b, points
 
 
 class OrientedPD:
-    """Crossings, anchored edges and free loops; slot_edge[anchor] is the
-    edge at that anchor.  `_trace_components` fills components (per
-    component: (edge id, dir)), direction (per edge: +1 flow a->b, -1 flow
-    b->a) and component_of (per edge), and the builder sets final_marker."""
+    """Crossings, anchored edges and free loops: over_a[crossing] is True
+    where strand A is on top, and slot_edge[anchor] is the edge at that
+    anchor.  `_trace_components` fills components (per component: (edge
+    id, dir)), direction (per edge: +1 flow a->b, -1 flow b->a) and
+    component_of (per edge), and the builder sets final_marker."""
 
-    __slots__ = ("crossings", "edges", "slot_edge", "free_loops", "components",
+    __slots__ = ("over_a", "edges", "slot_edge", "free_loops", "components",
                  "direction", "component_of", "final_marker")
 
-    def __init__(self, crossings: list[PDCrossing], edges: list[PDEdge],
+    def __init__(self, over_a: list[bool], edges: list[PDEdge],
                  slot_edge: list[int], free_loops: list[list[Point]]):
-        self.crossings = crossings
+        self.over_a = over_a
         self.edges = edges
         self.slot_edge = slot_edge
         self.free_loops = free_loops
@@ -82,22 +75,23 @@ class OrientedPD:
         """Per crossing, from `inflow` of the current orientation: +1 when
         strand A is on top exactly when the two strands run parallel (A
         NW->SE with B SW->NE, or both reversed)."""
-        return [1 if c.over_a == (inflow[a] == inflow[a + SW]) else -1
-                for a, c in zip(range(0, len(inflow), 4), self.crossings)]
+        return [1 if over == (inflow[a] == inflow[a + SW]) else -1
+                for a, over in zip(range(0, len(inflow), 4), self.over_a)]
 
 
 class _Builder:
     """Staircase tangle builder with four dangling ends.
 
-    Wire pieces are parallel lists: the points of each piece and the anchor
-    at its first (head) and last (tail) point, -1 while it dangles.
+    over_a holds the crossings' over-flags in anchor order.  Wire pieces
+    are parallel lists: the points of each piece and the anchor at its
+    first (head) and last (tail) point, -1 while it dangles.
     ends[corner] is (piece, at_head) for the corners NW, NE, SE, SW.  The
     staircase grows east and south only, so x >= 0 and y <= 0 throughout,
     and max_x, min_y bound every point.
     """
 
     def __init__(self, infinity: bool):
-        self.crossings: list[PDCrossing] = []
+        self.over_a: list[bool] = []
         self.head = [-1, -1]
         self.tail = [-1, -1]
         if not infinity:
@@ -153,8 +147,8 @@ class _Builder:
             col += 2
         for _ in range(abs(k)):
             cx = col + 1
-            a = 4 * len(self.crossings)
-            self.crossings.append(PDCrossing(cx, yu - 1, k > 0))
+            a = 4 * len(self.over_a)
+            self.over_a.append(k > 0)
             self.cross(NE, (cx - 1, yu), a + NW, (cx + 1, yu), a + NE)
             self.cross(SE, (cx - 1, yv), a + SW, (cx + 1, yv), a + SE)
             col += 4
@@ -180,8 +174,8 @@ class _Builder:
             row -= 2
         for _ in range(abs(k)):
             cy = row - 1
-            a = 4 * len(self.crossings)
-            self.crossings.append(PDCrossing(xl + 1, cy, k > 0))
+            a = 4 * len(self.over_a)
+            self.over_a.append(k > 0)
             self.cross(SW, (xl, cy + 1), a + NW, (xl, cy - 1), a + SW)
             self.cross(SE, (xr, cy + 1), a + NE, (xr, cy - 1), a + SE)
             row -= 4
@@ -255,13 +249,13 @@ def _assemble(b: _Builder, glue) -> tuple[OrientedPD, dict[int, tuple[int, int]]
                 return path, members, -1
 
     edges: list[PDEdge] = []
-    slot_edge = [0] * (4 * len(b.crossings))
+    slot_edge = [0] * (4 * len(b.over_a))
     home: dict[int, tuple[int, int]] = {}
     loose = []
     for pid, (h, t) in enumerate(zip(head, tail)):
         if h >= 0 and t >= 0:
             eid = len(edges)
-            edges.append(PDEdge(eid, h, t, pts[pid]))
+            edges.append(PDEdge(h, t, pts[pid]))
             slot_edge[h] = slot_edge[t] = eid
             home[pid] = (eid, 1)
         elif h < 0 and t < 0:
@@ -270,7 +264,7 @@ def _assemble(b: _Builder, glue) -> tuple[OrientedPD, dict[int, tuple[int, int]]
             eid = len(edges)
             start = h if h >= 0 else t
             path, members, end = walk(pid, h >= 0)
-            edges.append(PDEdge(eid, start, end, path))
+            edges.append(PDEdge(start, end, path))
             slot_edge[start] = slot_edge[end] = eid
             home.update((p, (eid, ori)) for p, ori in members)
 
@@ -281,7 +275,7 @@ def _assemble(b: _Builder, glue) -> tuple[OrientedPD, dict[int, tuple[int, int]]
             path, members, _ = walk(pid, True)
             free_loops.append(path)
             looped.update(p for p, _ in members)
-    return OrientedPD(b.crossings, edges, slot_edge, free_loops), home
+    return OrientedPD(b.over_a, edges, slot_edge, free_loops), home
 
 
 def _trace_components(pd: OrientedPD):
@@ -311,40 +305,36 @@ def _trace_components(pd: OrientedPD):
         pd.components.append(comp)
 
 
-def _flip_component(pd: OrientedPD, comp_index: int):
-    flipped = [(eid, -d) for eid, d in reversed(pd.components[comp_index])]
-    pd.components[comp_index] = flipped
-    for eid, d in flipped:
-        pd.direction[eid] = d
-
-
 def _marker_flow(pd: OrientedPD, marker: tuple[int, int]) -> int:
     """+1 if the marked wire piece is traversed in its built direction."""
     eid, ori = marker
     return ori * pd.direction[eid]
 
 
-def _orient_band_coherent(pd: OrientedPD):
-    """Make the two strands through the final twist region anti-parallel."""
+def _check_band_coherent(pd: OrientedPD):
+    """The two strands through the final twist region run anti-parallel.
+
+    `_trace_components` runs each component from its first edge in built
+    direction, and for a butterfly plat that is the band-coherent
+    orientation already, so a parallel pair is a builder fault."""
     if pd.final_marker is None:
         raise InvariantViolation("no final region marker recorded")
     mu, ml = pd.final_marker
-    cu, cl = pd.component_of[mu[0]], pd.component_of[ml[0]]
-    if cu == cl:
+    if pd.component_of[mu[0]] == pd.component_of[ml[0]]:
         raise InvariantViolation("final region strands lie in one component")
     if _marker_flow(pd, mu) == _marker_flow(pd, ml):
-        _flip_component(pd, cl)
+        raise InvariantViolation("final region strands run parallel")
 
 
 def build_lhat_diagram(pres: I1Presentation) -> OrientedPD:
     """Butterfly-link plat with the band-coherent semi-orientation.
 
-    The balancing region gets anti-parallel strands (the boundary
+    The balancing region has anti-parallel strands (the boundary
     orientation of the coherent band); the resulting 2-component diagram
     must have linking number 0.
     """
     pd = build_plat_diagram(pres.butterfly_cf())
-    _orient_band_coherent(pd)
+    _check_band_coherent(pd)
     if pd.component_count() != 2:
         raise InvariantViolation(f"butterfly plat of {pres} is not a 2-link")
     if linking_number(pd) != 0:

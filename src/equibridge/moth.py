@@ -131,15 +131,18 @@ def certified_moth(conway: tuple[list[int], ...], b: int) -> RationalFn:
 
 
 class OrderCertificate(Frozen):
+    """The infinite-order verdict, which only a non-zero nabla(L-hat) backs."""
+
+    verdict = INFINITE_ORDER
     # conway_knot is carried for the report, not serialized here.
-    _fields = ("verdict", "conway_lhat", "determinant_lhat", "moth",
+    _fields = ("conway_lhat", "determinant_lhat", "moth",
                "conway_knot", "determinant_knot")
 
-    def __init__(self, verdict: str, conway_lhat: ZCoeffs, determinant_lhat: int,
+    def __init__(self, conway_lhat: ZCoeffs, determinant_lhat: int,
                  moth: RationalFn, conway_knot: ZCoeffs, determinant_knot: int):
-        if verdict == INFINITE_ORDER and not conway_lhat:
+        if not conway_lhat:
             raise InvariantViolation("infinite-order verdict with zero witness")
-        vars(self).update(verdict=verdict, conway_lhat=conway_lhat,
+        vars(self).update(conway_lhat=conway_lhat,
                           determinant_lhat=determinant_lhat, moth=moth,
                           conway_knot=conway_knot, determinant_knot=determinant_knot)
 
@@ -169,7 +172,7 @@ def order_certificate(pres: I1Presentation) -> OrderCertificate:
     knot, lhat = conway[0], conway[4]
     det = _checked_determinant("butterfly", pres.butterfly_fraction, lhat, 1)
     det_knot = _checked_determinant("knot", pres.knot_fraction, knot, 0)
-    return OrderCertificate(INFINITE_ORDER, _in_z(lhat, 1), det,
+    return OrderCertificate(_in_z(lhat, 1), det,
                             certified_moth(conway, pres.b), _in_z(knot, 0), det_knot)
 
 

@@ -64,17 +64,15 @@ def _point_inside(pt: Point, poly: list[Point]) -> bool:
 
 
 class _Circle:
-    """connectors: crossing ids in traversal order; ccw: the strand
-    traversal is counterclockwise."""
+    """points: the polyline in traversal order; ccw: the strand traversal
+    is counterclockwise."""
 
     # A plain class, not a NamedTuple: the containment loop reads `points`
     # once per pair of circles, and a slot reads faster than a tuple field.
-    __slots__ = ("ident", "points", "connectors", "ccw")
+    __slots__ = ("points", "ccw")
 
-    def __init__(self, ident: int, points: list[Point], connectors: list[int],
-                 ccw: bool):
-        self.ident, self.points = ident, points
-        self.connectors, self.ccw = connectors, ccw
+    def __init__(self, points: list[Point], ccw: bool):
+        self.points, self.ccw = points, ccw
 
 
 class _Band:
@@ -85,7 +83,7 @@ class _Band:
     def __init__(self, ident: int, sign: int):
         self.ident = ident
         self.sign = sign
-        # ends: two of (circle id, position of connector in circle order)
+        # ends: two of (circle id, position of the band end in circle order)
         self.ends: list[tuple[int, int]] = []
 
 
@@ -107,10 +105,10 @@ def seifert_circles(pd: OrientedPD) -> tuple[list[_Circle], list[_Band]]:
         # Each edge's polyline runs from slot point to slot point, so the
         # circle is the concatenation of its edges in flow order.
         points: list[Point] = []
-        connectors: list[int] = []
+        position = 0  # band ends met so far on this circle
         eid = eid0
         while True:
-            if len(connectors) >= limit:
+            if position >= limit:
                 raise InvariantViolation("smoothing trace does not close")
             seen[eid] = True
             e = edges[eid]
@@ -121,21 +119,20 @@ def seifert_circles(pd: OrientedPD) -> tuple[list[_Circle], list[_Band]]:
                 points.extend(reversed(e.points))
                 head = e.a
             ci = head >> 2
-            bands[ci].ends.append((len(circles), len(connectors)))
-            connectors.append(ci)
+            bands[ci].ends.append((len(circles), position))
+            position += 1
             out = head ^ turn[ci]
             if into[out]:
                 raise InvariantViolation("smoothing does not respect orientation")
             eid = slot_edge[out]
             if eid == eid0:
                 break
-        circles.append(_Circle(len(circles), points, connectors,
-                               _shoelace2(points) > 0))
+        circles.append(_Circle(points, _shoelace2(points) > 0))
     for loop in pd.free_loops:
         pts = list(loop)
         if pts[0] == pts[-1]:
             pts.pop()
-        circles.append(_Circle(len(circles), pts, [], _shoelace2(pts) > 0))
+        circles.append(_Circle(pts, _shoelace2(pts) > 0))
     return circles, bands
 
 
@@ -235,9 +232,9 @@ def seifert_matrix_data(pd: OrientedPD) -> SeifertData:
     # order.  Per circle: the chords (cycle, key in, key out) that cycles draw
     # across its disk, and the strand-points (cycle, key, +1 arriving or -1
     # leaving) of bands that meet it from a circle nested inside it.  A strand
-    # end's key is its connector position on the circle, then +k at end 0 and
-    # -k at end 1 for the k-th cycle through the band: the half twist reverses
-    # the order of parallel strands between the two ends.
+    # end's key is its band end's position on the circle, then +k at end 0
+    # and -k at end 1 for the k-th cycle through the band: the half twist
+    # reverses the order of parallel strands between the two ends.
     through: list[list[tuple[int, int]]] = [[] for _ in bands]
     chords: list[list[tuple[int, tuple, tuple]]] = [[] for _ in circles]
     points: list[list[tuple[int, tuple, int]]] = [[] for _ in circles]

@@ -39,8 +39,7 @@ def diagram_state(pd: OrientedPD):
     for _ in pd.free_loops:
         comps.append([])
     signs = dict(enumerate(pd.crossing_signs(pd.inflow())))
-    over = {ci: ("A" if pd.crossings[ci].over_a else "B")
-            for ci in range(len(pd.crossings))}
+    over = {ci: ("A" if over_a else "B") for ci, over_a in enumerate(pd.over_a)}
     return comps, signs, over
 
 

@@ -111,9 +111,7 @@ def test_obstruction_total_on_enumeration():
 
 def test_certificate_requires_nonzero_witness():
     with pytest.raises(InvariantViolation):
-        SliceObstructionCertificate(
-            NOT_EQUIVARIANTLY_SLICE, AxisLinkWitness(0, "K"), ("I1(2;1)",)
-        )
+        SliceObstructionCertificate(AxisLinkWitness(0, "K"), ("I1(2;1)",))
 
 
 def test_nullity_examples():

@@ -129,6 +129,26 @@ def test_wrong_butterfly_surface_determinant_exits_3(monkeypatch, capsys):
                             "butterfly determinant 9 != fraction numerator 8\n")
 
 
+def test_parallel_butterfly_plat_exits_3(monkeypatch, capsys):
+    """A plat builder that ran one component backwards would leave the
+    butterfly link's final region parallel: analyze stops on the check."""
+    real = diagrams.build_plat_diagram
+
+    def parallel(entries):
+        pd = real(entries)
+        walk = pd.components[0] = [(eid, -d) for eid, d in reversed(pd.components[0])]
+        for eid, d in walk:
+            pd.direction[eid] = d
+        return pd
+
+    monkeypatch.setattr(diagrams, "build_plat_diagram", parallel)
+    assert cli.main(["analyze", "--fraction", "3/2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: internal check failed: "
+                            "final region strands run parallel\n")
+
+
 def test_i1_input_equal_to_an_inversion_analyzed_once(monkeypatch):
     analyzed = count_calls(monkeypatch, cli, "analyze_presentation")
     report = knot_report(i1="2,4;1,1")
@@ -292,7 +312,7 @@ def test_verify_moth_suite_fails_a_constant_term_in_nabla_lhat(monkeypatch, caps
     def with_constant_term(pres):
         cert = real(pres)
         return moth.OrderCertificate(
-            cert.verdict, (1,) + cert.conway_lhat[1:], cert.determinant_lhat,
+            (1,) + cert.conway_lhat[1:], cert.determinant_lhat,
             cert.moth, cert.conway_knot, cert.determinant_knot)
 
     monkeypatch.setattr(cli, "order_certificate", with_constant_term)

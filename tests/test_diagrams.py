@@ -5,16 +5,15 @@ from collections import Counter
 import pytest
 
 from equibridge.diagrams import (
-    _flip_component,
+    _check_band_coherent,
     _marker_flow,
-    _orient_band_coherent,
     build_knot_diagram,
     build_lhat_diagram,
     build_plat_diagram,
     linking_number,
 )
 from equibridge.cli import random_presentation
-from equibridge.laurent import DomainError
+from equibridge.laurent import DomainError, InvariantViolation
 from equibridge.presentations import inversions_from_fraction, parse_i1
 from equibridge.rationals import eval_cf, schubert_classes
 from equibridge.seifert import determinant, seifert_circles, seifert_matrix_data
@@ -24,11 +23,11 @@ from seifert_conway import conway_polynomial
 
 def test_plat_examples():
     pd = build_plat_diagram([2, -2])
-    assert len(pd.crossings) == 4 and pd.component_count() == 1
+    assert len(pd.over_a) == 4 and pd.component_count() == 1
     pd = build_plat_diagram([2, -2, -2])
-    assert len(pd.crossings) == 6 and pd.component_count() == 2
+    assert len(pd.over_a) == 6 and pd.component_count() == 2
     pd = build_plat_diagram([0])
-    assert len(pd.crossings) == 0 and pd.component_count() == 2
+    assert len(pd.over_a) == 0 and pd.component_count() == 2
 
 
 def test_component_parity_matches_numerator():
@@ -37,7 +36,7 @@ def test_component_parity_matches_numerator():
         m = rng.randint(1, 6)
         ent = [rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]) for _ in range(m)]
         pd = build_plat_diagram(ent)
-        assert len(pd.crossings) == sum(abs(e) for e in ent)
+        assert len(pd.over_a) == sum(abs(e) for e in ent)
         v = eval_cf(ent)
         want = 1 if v.p % 2 != 0 else 2
         assert pd.component_count() == want, (ent, v)
@@ -56,12 +55,20 @@ def test_lhat_anti_parallel_final_marker():
     assert pd.component_of[mu[0]] != pd.component_of[ml[0]]
 
 
+def reverse_component(pd, index):
+    """Run component `index` of the diagram the other way round."""
+    reversed_walk = [(eid, -d) for eid, d in reversed(pd.components[index])]
+    pd.components[index] = reversed_walk
+    for eid, d in reversed_walk:
+        pd.direction[eid] = d
+
+
 def test_band_coherent_orientation_from_either_flipped_component():
-    """Whichever component of a butterfly plat is reversed first, the
-    band-coherent orientation is `build_lhat_diagram`'s or its total
-    reverse: linking number 0, and the same determinant and Conway
-    polynomial, which unlike those two depends on the relative
-    orientation."""
+    """The builder orients every butterfly plat band-coherently.  Reversing
+    either component makes the final region's strands parallel, which the
+    check rejects; reversing both keeps them anti-parallel, with linking
+    number 0 and the same determinant and Conway polynomial, which unlike
+    those two depends on the relative orientation."""
     count = 0
     for p, q in schubert_classes(15):
         for pres in filter(None, inversions_from_fraction(p, q)[:2]):
@@ -69,18 +76,21 @@ def test_band_coherent_orientation_from_either_flipped_component():
             for component in (0, 1):
                 pd = build_plat_diagram(pres.butterfly_cf())
                 mu, ml = pd.final_marker
-                _flip_component(pd, component)
+                reverse_component(pd, component)
                 assert all(pd.direction[eid] == d for comp in pd.components
                            for eid, d in comp)
-                # The plat comes band-coherent, so one flip makes it parallel.
                 assert _marker_flow(pd, mu) == _marker_flow(pd, ml)
-                _orient_band_coherent(pd)
-                assert _marker_flow(pd, mu) != _marker_flow(pd, ml)
-                assert linking_number(pd) == 0
-                flipped = seifert_matrix_data(pd)
-                assert determinant(flipped) == determinant(data)
-                assert conway_polynomial(flipped) == conway_polynomial(data)
+                with pytest.raises(InvariantViolation, match="run parallel"):
+                    _check_band_coherent(pd)
                 count += 1
+            pd = build_plat_diagram(pres.butterfly_cf())
+            reverse_component(pd, 0)
+            reverse_component(pd, 1)
+            _check_band_coherent(pd)
+            assert linking_number(pd) == 0
+            reversed_data = seifert_matrix_data(pd)
+            assert determinant(reversed_data) == determinant(data)
+            assert conway_polynomial(reversed_data) == conway_polynomial(data)
     assert count == 64
 
 
@@ -102,7 +112,7 @@ def test_linking_number_random_lhat():
 def test_knot_diagram_validates():
     pd = build_knot_diagram(parse_i1("2,4;1,1"))
     assert pd.component_count() == 1
-    assert len(pd.crossings) == 2 + 2 + 4 + 2
+    assert len(pd.over_a) == 2 + 2 + 4 + 2
 
 
 def test_every_edge_sits_in_exactly_two_crossing_slots():
@@ -112,7 +122,7 @@ def test_every_edge_sits_in_exactly_two_crossing_slots():
                  for _ in range(20)]
     for pd in diagrams:
         slots = Counter()
-        assert len(pd.slot_edge) == 4 * len(pd.crossings)
+        assert len(pd.slot_edge) == 4 * len(pd.over_a)
         for anchor, eid in enumerate(pd.slot_edge):
             assert anchor in (pd.edges[eid].a, pd.edges[eid].b)
             slots[eid] += 1
@@ -129,13 +139,13 @@ def canonical_dump(pd) -> str:
 
     circles, bands = seifert_circles(pd)
     return repr((
-        [(c.x, c.y, c.over_a) for c in pd.crossings],
-        [(e.ident, anchor(e.a), anchor(e.b), e.points) for e in pd.edges],
+        pd.over_a,
+        [(anchor(e.a), anchor(e.b), e.points) for e in pd.edges],
         pd.free_loops,
         pd.components,
         pd.final_marker,
-        [(c.points, c.connectors, c.ccw) for c in circles],
-        [(b.ident, b.sign, b.ends) for b in bands],
+        [(c.points, c.ccw) for c in circles],
+        [(b.sign, b.ends) for b in bands],
         seifert_matrix_data(pd).matrix,
     ))
 
@@ -156,4 +166,4 @@ def test_every_p45_diagram_circle_and_seifert_matrix_is_pinned():
                 count += 1
     assert count == 608
     assert digest.hexdigest() == (
-        "57fef98635e2028c0556006d194476cb563e5e1def8b69585637d08e9b770ad7")
+        "44a5aed743710b346e7e424835b70d39af01a3d13b1cb1718e90b7ec83a1770a")

@@ -15,6 +15,9 @@ computed in `moth`.
 `oracles` sits behind a boundary from both sides: no module of the
 arithmetic path loads it, and it loads neither `butterfly` nor `moth`,
 whose results it checks.
+
+A record keeps only what something reads: every `__slots__` name is read
+as an attribute somewhere in the package outside its class's `__init__`.
 """
 import ast
 from pathlib import Path
@@ -128,3 +131,41 @@ def test_imported_modules_resolves_each_form():
         assert "equibridge.butterfly" in imported_modules(source, "equibridge"), source
     assert "equibridge.butterfly" not in imported_modules(
         "from .laurent import lp\nimport butterfly", "equibridge")
+
+
+def unread_slots(sources: dict[str, str]) -> list[str]:
+    """`module.Class.name` for each `__slots__` name of a class in
+    `sources`, module name to source, that no attribute read outside the
+    class's `__init__` names."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    found = []
+    for module, tree in trees.items():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            slots = [name.value for stmt in cls.body if isinstance(stmt, ast.Assign)
+                     and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                             for t in stmt.targets)
+                     for name in ast.walk(stmt.value) if isinstance(name, ast.Constant)]
+            in_init = {id(node) for stmt in cls.body
+                       if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"
+                       for node in ast.walk(stmt)}
+            read = {node.attr for node in reads if id(node) not in in_init}
+            found += [f"{module}.{cls.name}.{name}" for name in slots if name not in read]
+    return found
+
+
+def test_every_slot_is_read():
+    root = Path(equibridge.__file__).parent
+    sources = {path.stem: path.read_text() for path in sorted(root.glob("*.py"))}
+    assert "diagrams" in sources and "seifert" in sources
+    assert unread_slots(sources) == []
+
+
+def test_unread_slots_sees_only_reads_outside_init():
+    record = ("class R:\n    __slots__ = ('x', 'y')\n"
+              "    def __init__(self, x, y):\n        self.x, self.y = x, y\n"
+              "        print(self.y)\n")
+    assert unread_slots({"m": record}) == ["m.R.x", "m.R.y"]
+    assert unread_slots({"m": record + "def f(r):\n    r.y = r.x\n"}) == ["m.R.y"]
+    assert unread_slots({"m": record, "n": "def g(r):\n    return r.x + r.y\n"}) == []

@@ -67,7 +67,7 @@ def test_every_small_presentation_infinite_order():
 def test_certificate_invariant_guard():
     moth = rf_make(lp_parse("0"), lp_parse("1"))
     with pytest.raises(InvariantViolation):
-        OrderCertificate(INFINITE_ORDER, (), 0, moth, (1,), 1)
+        OrderCertificate((), 0, moth, (1,), 1)
 
 
 def test_certificate_json_fields():

@@ -261,3 +261,15 @@ def test_knot_surface_determinant_equals_the_arithmetic_routes(data):
     det = determinant(seifert_matrix_data(build_knot_diagram(pres)))
     assert det == abs(pres.knot_fraction.p)
     assert det == _det_from_conway(conway_in_w(pres)[0], 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(twist_data)
+def test_butterfly_surface_determinant_equals_the_arithmetic_routes(data):
+    """det(V + V^T) of the band-coherent butterfly plat = |p''| =
+    |z nabla(2i)| beyond p <= 45: the geometry behind the determinant check
+    of `analyze`, on presentations the table does not reach."""
+    pres = I1Presentation(*map(tuple, data))
+    det = determinant(seifert_matrix_data(build_lhat_diagram(pres)))
+    assert det == abs(pres.butterfly_fraction.p)
+    assert det == _det_from_conway(conway_in_w(pres)[4], 1)
