@@ -144,10 +144,7 @@ def nullity_obstruction(pres: I1Presentation) -> NullityReport:
 
     kf = pres.knot_fraction
     p, q = kf.positive_numerator()
-    rev_entries = []
-    for a, c in zip(reversed(pres.alphas), reversed(pres.cs)):
-        rev_entries.append(-2 * c)
-        rev_entries.append(a)
+    rev_entries = pres.knot_cf()[::-1]
     rev = eval_cf(rev_entries)
     p_rev, q_rev = rev.positive_numerator()
     if p_rev != p:

@@ -14,8 +14,6 @@ high and trimmed; only the report writes them in z.
 """
 from __future__ import annotations
 
-from math import gcd
-
 from .laurent import (
     Frozen, InvariantViolation, RationalFn, TCoeffs, ZCoeffs, lp_to_str, zp_to_str,
 )
@@ -63,22 +61,6 @@ def _in_z(p: list[int], odd: int) -> ZCoeffs:
     return tuple(out)
 
 
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * max(0, len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _sub(a: list[int], b: list[int]) -> list[int]:
-    out = a + [0] * (len(b) - len(a))
-    for k, x in enumerate(b):
-        out[k] -= x
-    return _trim(out)
-
-
 def _w_to_t(cs: list[int]) -> list[int]:
     """Dense t-coefficients, from t^-D, of sum c_k w^k (D = len(cs) - 1)
     with w = z^2 = -t + 2 - 1/t: Horner, each step a 3-term stencil."""
@@ -90,6 +72,31 @@ def _w_to_t(cs: list[int]) -> list[int]:
     return acc
 
 
+def _at(p: list[int], k: int) -> int:
+    """p(2^k), by Horner shifts."""
+    v = 0
+    for c in reversed(p):
+        v = (v << k) + c
+    return v
+
+
+def _identities_hold(conway: tuple[list[int], ...], b: int) -> tuple[bool, bool]:
+    """Whether AD - wBC = 1 and (b/2)A - B = L, each tested exactly in big
+    integers at the one point w = 2^k.
+
+    With n the longest list's length and m the largest of |b/2| and every
+    |coefficient|, no coefficient of AD - wBC - 1 or (b/2)A - B - L exceeds
+    2 n m^2 + 1 in absolute value, which k = 2 bitlen(m) + bitlen(n + 1) + 3
+    puts below 2^k.  A non-zero integer polynomial with every coefficient
+    below 2^k in absolute value has no root at 2^k, since 2^k would divide
+    its lowest non-zero coefficient.
+    """
+    bits = max(max(map(int.bit_length, p), default=0) for p in conway + ([b // 2],))
+    k = 2 * bits + (max(map(len, conway)) + 1).bit_length() + 3
+    av, bv, cv, dv, lv = (_at(p, k) for p in conway)
+    return av * dv - (bv * cv << k) == 1, b // 2 * av - bv == lv
+
+
 def certified_moth(conway: tuple[list[int], ...], b: int) -> RationalFn:
     """nabla(L-hat)(z) / (z * nabla(K)(z)) as a rational function of t, in
     the canonical form of `oracles.rf_make`, with no gcd.
@@ -97,26 +104,25 @@ def certified_moth(conway: tuple[list[int], ...], b: int) -> RationalFn:
     `conway` is (A, B, C, D, L) of `conway_in_w` and b the balancing entry.
     The knot's continuant matrix has determinant 1, so A = nabla(K) and B
     are coprime, and so are A and L = (b/2)A - B.  Both are polynomials in
-    w = z^2, hence stay coprime in t, and only content, powers of t and
-    sign are normalized.
+    w = z^2, hence stay coprime in t.  At t = 1, w = 0, so den(1) = A(0) =
+    nabla(K)(0) = 1, and the joint content, which divides den(1), is 1.
+    Only powers of t and the sign are normalized.
     """
-    A, B, C, D, L = conway
-    if _sub(_mul(A, D), [0] + _mul(B, C)) != [1]:
+    A, L = conway[0], conway[4]
+    determinant_one, butterfly_row = _identities_hold(conway, b)
+    if not determinant_one:
         raise InvariantViolation("knot continuant matrix does not have determinant 1")
-    if _sub([b // 2 * x for x in A], B) != L:
+    if not butterfly_row:
         raise InvariantViolation(
             "butterfly-link Conway polynomial is not (b/2) z nabla(K) - K(x1..x(m-1))")
     if not L or L[0] != 0:
         # The z coefficient of nabla(L-hat) is the linking number, which must vanish.
         raise InvariantViolation("butterfly-link Conway polynomial has a z term")
     num, den = _w_to_t(L), _w_to_t(A)
-    if sum(den) == 0:
+    if sum(den) != 1:
         raise InvariantViolation("knot Conway normalization lost")
-    joint = gcd(*num, *den)
     if den[-1] < 0:
-        joint = -joint
-    num = [x // joint for x in num]
-    den = [x // joint for x in den]
+        num, den = [-x for x in num], [-x for x in den]
     # Each list runs from t^-D to t^D, D its degree in w, with non-zero
     # ends; moving every power of t into the numerator leaves den a
     # polynomial with den(0) != 0.

@@ -8,10 +8,12 @@ c_i non-zero.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 from .laurent import DomainError, Frozen, InvariantViolation, typed_equality
-from .rationals import Frac, EvenCF, _int_field, eval_cf, even_cf, two_bridge_equiv
+from .rationals import (MAX_CF_ENTRIES, EvenCF, Frac, _int_field, eval_cf, even_cf,
+                        two_bridge_equiv)
 
 
 class ParseError(DomainError):
@@ -42,19 +44,12 @@ class I1Presentation(Frozen):
         for i, c in enumerate(cs):
             if c == 0:
                 raise ParseError(f"c[{i + 1}] must be non-zero")
-        run = 0
-        sig = []
-        for a in alphas:
-            run += a
-            sig.append(run // 2)
+        sigma = tuple(s // 2 for s in accumulate(alphas))
         delta = tuple(c % 2 for c in cs)
-        eps = [1] * len(cs)
-        acc = 1
-        for i in range(len(cs) - 1, -1, -1):
-            acc *= -1 if delta[i] == 1 else 1
-            eps[i] = acc
-        vars(self).update(alphas=alphas, cs=cs, sigma=tuple(sig), b=run,
-                          delta=delta, eps=tuple(eps))
+        # (-1) to the suffix sums of delta, taken from the right
+        eps = tuple(1 - 2 * (s % 2) for s in accumulate(reversed(delta)))[::-1]
+        vars(self).update(alphas=alphas, cs=cs, sigma=sigma, b=sum(alphas),
+                          delta=delta, eps=eps)
 
     @property
     def n(self) -> int:
@@ -62,11 +57,7 @@ class I1Presentation(Frozen):
 
     def knot_cf(self) -> list[int]:
         """The continued fraction [a1, -2c1, ..., an, -2cn] of the knot."""
-        out: list[int] = []
-        for a, c in zip(self.alphas, self.cs):
-            out.append(a)
-            out.append(-2 * c)
-        return out
+        return [x for a, c in zip(self.alphas, self.cs) for x in (a, -2 * c)]
 
     def butterfly_cf(self) -> list[int]:
         """The knot continued fraction with the balancing -b entry appended."""
@@ -88,13 +79,7 @@ class I1Presentation(Frozen):
         return eval_cf(self.butterfly_cf())
 
     def __str__(self) -> str:
-        return (
-            "I1("
-            + ",".join(str(a) for a in self.alphas)
-            + ";"
-            + ",".join(str(c) for c in self.cs)
-            + ")"
-        )
+        return f"I1({','.join(map(str, self.alphas))};{','.join(map(str, self.cs))})"
 
 
 def parse_i1(text: str) -> I1Presentation:
@@ -105,6 +90,8 @@ def parse_i1(text: str) -> I1Presentation:
     if ";" not in body:
         raise ParseError("expected ';' separating alphas from cs")
     a_part, c_part = body.split(";", 1)
+    if body.count(",") + 2 > MAX_CF_ENTRIES:  # entries of the knot fraction
+        raise ParseError(f"presentation has more than {MAX_CF_ENTRIES} entries")
     try:
         alphas = tuple(_int_field(tok, f"alpha[{i}]")
                        for i, tok in enumerate(a_part.split(","), start=1))

@@ -11,6 +11,8 @@ from typing import NamedTuple, Sequence
 
 from .laurent import DomainError, InvariantViolation, typed_equality
 
+MAX_CF_ENTRIES = 2000  # the longest continued fraction expanded or parsed
+
 
 @typed_equality
 class Frac(NamedTuple):
@@ -54,13 +56,16 @@ class Frac(NamedTuple):
 
 
 def _int_field(token: str, name: str) -> int:
-    """int(token), or a DomainError naming the field when it is empty or
-    not an integer."""
+    """The integer [+-]?[0-9]+, ASCII digits only, that token holds between
+    blanks, or a DomainError naming the field."""
     body = token.strip()
     if not body:
         raise DomainError(f"{name} is empty")
+    digits = body[1:] if body[0] in "+-" else body
     try:
-        return int(body)
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(body)
+        return int(body)  # a ValueError, too, past int()'s digit limit
     except ValueError:
         shown = body if len(body) <= 20 else body[:20] + "..."
         raise DomainError(f"{name} is not an integer: {shown!r}") from None
@@ -94,6 +99,8 @@ def cf_parse(text: str) -> list[int]:
         body = body[1:-1]
     if not body.strip():
         raise DomainError("empty continued fraction")
+    if body.count(",") >= MAX_CF_ENTRIES:
+        raise DomainError(f"continued fraction has more than {MAX_CF_ENTRIES} entries")
     return [_int_field(tok, f"continued-fraction entry {i}")
             for i, tok in enumerate(body.split(","), start=1)]
 
@@ -134,7 +141,8 @@ def even_cf(f: Frac) -> EvenCF:
 
     Precondition: p odd, |p| >= 3, gcd(p, q) = 1.  The denominator is first
     normalized to the even representative with |q| < |p|; each step takes the
-    nearest even integer and recurses on the reciprocal remainder.
+    nearest even integer and recurses on the reciprocal remainder, up to
+    MAX_CF_ENTRIES entries: the entry past them raises a DomainError.
     """
     p, q = f.p, f.q
     if q == 0:
@@ -147,14 +155,15 @@ def even_cf(f: Frac) -> EvenCF:
     entries: list[int] = []
     a, b = p, q0
     while b != 0:
+        if len(entries) == MAX_CF_ENTRIES:
+            raise DomainError(
+                f"{p}/{q}: even continued fraction over {MAX_CF_ENTRIES} entries")
         e = _nearest_even(a, b)
         entries.append(e)
         a, b = b, a - e * b
-    ecf = EvenCF(tuple(entries), p, q0)
-    check = eval_cf(entries)
-    if check != Frac.make(p, q0):
+    if eval_cf(entries) != Frac.make(p, q0):
         raise InvariantViolation(f"even_cf round-trip failed for {p}/{q}")
-    return ecf
+    return EvenCF(tuple(entries), p, q0)
 
 
 def normalize_class(p: int, q: int) -> tuple[int, int]:

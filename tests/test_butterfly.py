@@ -15,6 +15,7 @@ from equibridge.butterfly import (
 )
 from equibridge.cli import random_presentation
 from equibridge.laurent import InvariantViolation, lp_is_eta_admissible
+from equibridge.moth import INFINITE_ORDER, order_certificate
 from equibridge.presentations import I1Presentation, inversions_from_fraction, parse_i1
 from equibridge.rationals import Frac, schubert_classes
 
@@ -131,3 +132,15 @@ def test_nullity_reversal_check_runs_everywhere():
         assert rep.nullity == 1
         assert rep.h1_order % 2 == 0 and rep.h1_order > 0
 
+
+def test_both_routes_certify_every_inversion_up_to_p_201():
+    """Non-sliceness by the axis-linking witness, and infinite order (so
+    not slice either) by the continuants, each on all 6161 inversions."""
+    count = 0
+    for p, q in schubert_classes(201):
+        for pres in inversions_from_fraction(p, q)[:2]:
+            if pres is not None:
+                assert equivariant_slice_obstruction(pres).verdict == NOT_EQUIVARIANTLY_SLICE
+                assert order_certificate(pres).verdict == INFINITE_ORDER
+                count += 1
+    assert count == 6161

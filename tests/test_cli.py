@@ -264,6 +264,9 @@ FIELD_ERRORS = {
     "--cf=2,,-2": "continued-fraction entry 2 is empty",
     "--fraction=5/": "denominator is empty",
     "--fraction=/3": "numerator is empty",
+    # only [+-]?[0-9]+ in ASCII: no other script's digits, no underscores
+    "--fraction=\u0663/2": "numerator is not an integer: '\u0663'",
+    "--i1=2;1_0": "c[1] is not an integer: '1_0'",
 }
 
 
@@ -285,6 +288,22 @@ def test_analyze_rejects_input_edges(capsys, arg):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     if arg in FIELD_ERRORS:
         assert lines[0] == f"error: {FIELD_ERRORS[arg]}"
+
+
+def test_a_long_even_continued_fraction_exits_2_in_bounded_memory_and_time():
+    """(10^8 + 1)/3 expands to 33333334 entries; `analyze` stops at the
+    first entry past 2000, under a 1 GB address-space cap and in seconds."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "equibridge.cli", "analyze", "--fraction=100000001/3"],
+        capture_output=True, text=True, env=CHILD_ENV, preexec_fn=cap, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: 100000001/3: even continued fraction over 2000 entries"]
 
 
 def test_verify_lists_every_failure_with_its_exception(monkeypatch, capsys):

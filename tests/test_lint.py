@@ -18,6 +18,11 @@ whose results it checks.
 
 A record keeps only what something reads: every `__slots__` name is read
 as an attribute somewhere in the package outside its class's `__init__`.
+
+Each verdict rests on two routes that share no code: the functions that
+the axis-linking witness and the infinite-order certificate reach overlap
+only in the presentation, its fractions, the error types and the record
+helpers.
 """
 import ast
 from pathlib import Path
@@ -169,3 +174,119 @@ def test_unread_slots_sees_only_reads_outside_init():
     assert unread_slots({"m": record}) == ["m.R.x", "m.R.y"]
     assert unread_slots({"m": record + "def f(r):\n    r.y = r.x\n"}) == ["m.R.y"]
     assert unread_slots({"m": record, "n": "def g(r):\n    return r.x + r.y\n"}) == []
+
+
+def _code(node: ast.AST):
+    """The nodes under `node`, annotations left out."""
+    for field, value in ast.iter_fields(node):
+        if field not in ("annotation", "returns"):
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    yield child
+                    yield from _code(child)
+
+
+def call_graph(sources: dict[str, str]) -> dict[str, set[str]]:
+    """`module.function`, `module.Class` and `module.Class.method` of
+    `sources`, module name to source, each to what it may call.
+
+    The graph over-approximates, so two routes it shows apart are apart: a
+    name reaches the function or class it is bound to, by a definition or
+    a package import; `module.f` reaches f of a package module imported
+    whole; any other attribute `x.f` reaches every method named f; and a
+    class reaches its dunder methods, its package bases and its decorators.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    methods: dict[str, set[str]] = {}
+    for module, tree in trees.items():
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for fn in (n for n in cls.body if isinstance(n, ast.FunctionDef)):
+                methods.setdefault(fn.name, set()).add(f"{module}.{cls.name}.{fn.name}")
+    graph: dict[str, set[str]] = {}
+    for module, tree in trees.items():
+        bound = {node.name: f"{module}.{node.name}" for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        whole = {}
+        # an import inside a function binds its names for the whole module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module:
+                        bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                    else:
+                        whole[alias.asname or alias.name] = alias.name
+
+        def calls(nodes) -> set[str]:
+            found = set()
+            for node in nodes:
+                if isinstance(node, ast.Name) and node.id in bound:
+                    found.add(bound[node.id])
+                elif isinstance(node, ast.Attribute):
+                    base = node.value
+                    if isinstance(base, ast.Name) and base.id in whole:
+                        found.add(f"{whole[base.id]}.{node.attr}")
+                    else:
+                        found |= methods.get(node.attr, set())
+            return found
+
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                graph[f"{module}.{node.name}"] = calls(_code(node))
+            elif isinstance(node, ast.ClassDef):
+                name = f"{module}.{node.name}"
+                graph[name] = calls(node.bases + node.decorator_list)
+                for fn in (n for n in node.body if isinstance(n, ast.FunctionDef)):
+                    graph[f"{name}.{fn.name}"] = calls(_code(fn))
+                    if fn.name.startswith("__"):
+                        graph[name].add(f"{name}.{fn.name}")
+    return graph
+
+
+def reach(graph: dict[str, set[str]], root: str) -> set[str]:
+    """The nodes of `graph` that `root` reaches, itself included."""
+    seen, todo = set(), [root]
+    while todo:
+        name = todo.pop()
+        if name in graph and name not in seen:
+            seen.add(name)
+            todo += graph[name]
+    return seen
+
+
+# What both verdicts may share: the presentation and its fractions, the
+# error types, and the helpers that give records their value semantics.
+SHARED = ("presentations.I1Presentation", "presentations.ParseError",
+          "rationals.eval_cf", "rationals.Frac", "laurent.DomainError",
+          "laurent.InvariantViolation", "laurent.Frozen", "laurent.typed_equality",
+          "laurent._same_type_eq", "laurent._same_type_ne")
+
+
+def test_the_two_verdicts_share_only_the_presentation():
+    root = Path(equibridge.__file__).parent
+    graph = call_graph({path.stem: path.read_text() for path in sorted(root.glob("*.py"))})
+    witness = reach(graph, "butterfly.equivariant_slice_obstruction")
+    order = reach(graph, "moth.order_certificate")
+    assert {"butterfly.axis_linking", "butterfly.reduce_if_b_zero"} <= witness
+    assert {"moth.conway_in_w", "moth.certified_moth", "rationals.eval_cf"} <= order
+    shared = witness & order
+    assert "presentations.I1Presentation.n" in shared
+    assert [name for name in sorted(shared) if not any(
+        name == allowed or name.startswith(f"{allowed}.") for allowed in SHARED)] == []
+
+
+def test_call_graph_follows_names_attributes_classes_and_modules():
+    sources = {
+        "a": ("from .b import Rec\nfrom . import c\n"
+              "def f(x: Rec) -> Rec:\n    from .b import helper\n"
+              "    return helper(x).size + c.g()\n"),
+        "b": ("@deco\nclass Rec(Base):\n    def __init__(self):\n        pass\n"
+              "    @property\n    def size(self):\n        return 1\n"
+              "    def unused(self):\n        return helper(0)\n"
+              "class Base:\n    pass\n"
+              "def helper(x):\n    return Rec()\n"
+              "def deco(cls):\n    return cls\n"),
+        "c": "def g():\n    return 0\ndef h():\n    return 0\n",
+    }
+    assert reach(call_graph(sources), "a.f") == {
+        "a.f", "b.helper", "b.Rec", "b.Rec.__init__", "b.Rec.size", "b.Base",
+        "b.deco", "c.g"}

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from equibridge import cli, moth
 from equibridge.laurent import InvariantViolation, zp_to_str
 from equibridge.moth import INFINITE_ORDER, OrderCertificate, order_certificate
-from equibridge.oracles import rf_make, subs_inv_equal, z_to_t
+from equibridge.oracles import _pmul, rf_make, subs_inv_equal, z_to_t
 from equibridge.presentations import (
     I1Presentation,
     inversions_from_fraction,
@@ -133,6 +133,17 @@ def test_wrong_conway_polynomial_fails_the_determinant_check(
     assert capsys.readouterr().err == f"error: internal check failed: {message}\n"
 
 
+def _exponent(conway, b):
+    """The k of the one-point check, w = 2^k, from the inputs given: m the
+    largest of |b/2| and every |coefficient|, n the longest list's length."""
+    m = max(abs(c) for p in conway + ([b // 2],) for c in p)
+    return 2 * m.bit_length() + (max(map(len, conway)) + 1).bit_length() + 3
+
+
+# k of the trefoil presentation I1(2;1), before any patch
+K_TREFOIL = _exponent(moth.conway_in_w(parse_i1("2;1")), 2)
+
+
 @pytest.mark.parametrize("sign, row, col, extra, message", [
     # a wrong C or D of the knot's continuant matrix
     (1, 1, 0, {0: 2}, "knot continuant matrix does not have determinant 1"),
@@ -140,6 +151,10 @@ def test_wrong_conway_polynomial_fails_the_determinant_check(
     # 4w + w^2 vanishes at w = -4, so the determinant checks still pass
     (-1, 0, 0, {1: 4, 2: 1},
      "butterfly-link Conway polynomial is not (b/2) z nabla(K) - K(x1..x(m-1))"),
+    # 2^k - w, k of the unpatched input, vanishes at w = 2^k; the patched
+    # input has a larger k, at which it does not
+    (1, 0, 1, {0: 2**K_TREFOIL, 1: -1},
+     "knot continuant matrix does not have determinant 1"),
 ])
 def test_wrong_cofactor_or_continuant_fails_the_moth_certificate(
         monkeypatch, capsys, sign, row, col, extra, message):
@@ -149,6 +164,59 @@ def test_wrong_cofactor_or_continuant_fails_the_moth_certificate(
     assert str(caught.value) == message
     assert cli.main(["analyze", "--fraction", "3/2"]) == 3
     assert capsys.readouterr().err == f"error: internal check failed: {message}\n"
+
+
+def test_a_negated_continuant_matrix_fails_the_normalization(monkeypatch, capsys):
+    """-A, -B, -C, -D and -L keep both identities and both determinants,
+    but den(1) = -A(0) = -1, and the content-1 argument needs den(1) = 1."""
+    real = moth.conway_in_w
+    monkeypatch.setattr(moth, "conway_in_w",
+                        lambda pres: tuple([-x for x in p] for p in real(pres)))
+    message = "knot Conway normalization lost"
+    with pytest.raises(InvariantViolation, match=message):
+        order_certificate(parse_i1("2;1"))
+    assert cli.main(["analyze", "--fraction", "3/2"]) == 3
+    assert capsys.readouterr().err == f"error: internal check failed: {message}\n"
+
+
+def test_no_point_2_to_the_j_hides_a_patch_of_b():
+    """2^j - w vanishes at w = 2^j only, so added to B it is caught for
+    every j exactly when the one-point check's k is none of them."""
+    A, B, C, D, L = moth.conway_in_w(parse_i1("2;1"))
+    for j in range(1, 4 * K_TREFOIL):
+        patched = _sub(B, [-2**j, 1])  # B + 2^j - w
+        assert moth._at(patched, j) == moth._at(B, j)
+        assert _list_identities((A, patched, C, D, L), 2) == (False, False)
+        assert moth._identities_hold((A, patched, C, D, L), 2) == (False, False), j
+
+
+def _sub(a, b):
+    out = a + [0] * (len(b) - len(a))
+    for k, x in enumerate(b):
+        out[k] -= x
+    return moth._trim(out)
+
+
+def _list_identities(conway, b):
+    """The reference for `moth._identities_hold`: AD - wBC = 1 and
+    (b/2)A - B = L with every product of lists written out, O(n^2)."""
+    A, B, C, D, L = conway
+    return (_sub(_pmul(A, D), [0] + _pmul(B, C)) == [1],
+            _sub([b // 2 * x for x in A], B) == L)
+
+
+def _corrupt(draw, conway):
+    """conway with one coefficient moved by +-1 or one c w^i added to one
+    of its five lists, trimmed as `conway_in_w` leaves them."""
+    out = [list(p) for p in conway]
+    entry = out[draw(st.integers(0, 4))]
+    i = draw(st.integers(0, len(entry) + 2))
+    entry += [0] * (i + 1 - len(entry))
+    if draw(st.booleans()):
+        entry[i] += draw(st.sampled_from([-1, 1]))
+    else:
+        entry[i] += draw(st.integers(-10**6, 10**6).filter(bool))
+    return tuple(moth._trim(p) for p in out)
 
 
 def _certified(pres):
@@ -188,6 +256,18 @@ def test_certified_moth_matches_the_gcd_reduction(data):
     assert _certified(pres) == _gcd_reduced(pres)
 
 
+@settings(max_examples=60, deadline=None)
+@given(long_twist_data, st.data())
+def test_the_one_point_check_agrees_with_the_list_products(twists, data):
+    pres = I1Presentation(*map(tuple, twists))
+    conway = moth.conway_in_w(pres)
+    assert moth._identities_hold(conway, pres.b) == (True, True)
+    assert _list_identities(conway, pres.b) == (True, True)
+    wrong = _corrupt(data.draw, conway)
+    assert moth._identities_hold(wrong, pres.b) == _list_identities(wrong, pres.b)
+    assert _list_identities(wrong, pres.b) != (True, True)
+
+
 def test_certified_moth_of_200_pairs_is_fast():
     pres = I1Presentation((2,) * 200, (1,) * 200)
     start = time.perf_counter()
@@ -215,3 +295,10 @@ def test_certificates_up_to_p_201_are_pinned():
     assert count == 6161
     assert digest.hexdigest() == (
         "a5f4835561675a0f13f8bea0e87565033c8a6b52522f6f55a41a6785714f6442")
+
+
+def test_canonical_moths_up_to_p_45_are_distinct():
+    """Every inversion at p <= 45 has its own canonical moth (num, den)."""
+    moths = [order_certificate(pres).moth for p, q in schubert_classes(45)
+             for pres in inversions_from_fraction(p, q)[:2] if pres is not None]
+    assert len(moths) == len(set(moths)) == 304

@@ -46,6 +46,15 @@ def test_parse_validation():
         parse_i1("2,,4;1,1")  # empty field
 
 
+def test_parse_limits_the_entry_count():
+    pres = parse_i1(",".join(["2"] * 1000) + ";" + ",".join(["1"] * 1000))
+    assert len(pres.knot_cf()) == 2000
+    with pytest.raises(ParseError, match="more than 2000 entries"):
+        parse_i1(",".join(["2"] * 1001) + ";" + ",".join(["1"] * 1000))
+    with pytest.raises(ParseError, match="more than 2000 entries"):
+        parse_i1("x," * 2000 + ";1")  # counted before any entry is read
+
+
 def test_round_trip_printing():
     for text in ("2;1", "2,4;1,1", "-2,4,-6;1,-2,3"):
         assert str(parse_i1(text)) == f"I1({text})"

@@ -3,8 +3,10 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from equibridge import rationals
 from equibridge.laurent import DomainError
 from equibridge.rationals import (
+    MAX_CF_ENTRIES,
     Frac,
     cf_parse,
     eval_cf,
@@ -150,3 +152,52 @@ def test_two_bridge_equiv_unknot_edge():
     assert two_bridge_equiv(1, 0, 1, 0)
     assert two_bridge_equiv(1, 0, -1, 0)
     assert not two_bridge_equiv(1, 0, 3, 2)
+
+
+def test_even_cf_stops_at_the_first_entry_past_the_limit(monkeypatch):
+    """(10^8 + 1)/3 has 33333334 entries; the expansion stops after 2000."""
+    calls = []
+    nearest_even = rationals._nearest_even
+
+    def counted(a, b):
+        calls.append(a)
+        return nearest_even(a, b)
+
+    monkeypatch.setattr(rationals, "_nearest_even", counted)
+    with pytest.raises(DomainError, match="over 2000 entries"):
+        even_cf(Frac.make(10**8 + 1, 3))
+    assert MAX_CF_ENTRIES == len(calls) == 2000
+
+
+def test_even_cf_at_the_limit_and_at_p_1001():
+    assert len(even_cf(Frac.make(1001, 1000)).entries) == 1000
+    # [2, -2] repeated n times is (2n + 1)/(2n)
+    assert len(even_cf(Frac.make(2001, 2000)).entries) == 2000
+    with pytest.raises(DomainError):
+        even_cf(Frac.make(2003, 2002))
+
+
+def test_cf_parse_limits_the_entry_count():
+    assert len(cf_parse(",".join(["2", "-2"] * 1000))) == 2000
+    with pytest.raises(DomainError, match="more than 2000 entries"):
+        cf_parse(",".join(["2", "-2"] * 1000 + ["2"]))
+    with pytest.raises(DomainError, match="more than 2000 entries"):
+        cf_parse("x," * 2000)  # counted before any entry is read
+
+
+@pytest.mark.parametrize("text, value", [
+    ("7/2", (7, 2)), ("+7/-2", (-7, 2)), (" -7 / 2 ", (-7, 2)), ("007", (7, 1)),
+])
+def test_frac_parse_reads_ascii_integers(text, value):
+    assert frac_parse(text) == Frac.make(*value)
+
+
+@pytest.mark.parametrize("text", [
+    "\u0663/2",  # ARABIC-INDIC DIGIT THREE
+    "3/\uff12",  # FULLWIDTH DIGIT TWO
+    "\u00b3/2",  # SUPERSCRIPT THREE
+    "1_1/2", "+/2", "-/2", "+-3/2", "3.0/2", "0x3/2", "3/2 2",
+])
+def test_frac_parse_rejects_what_is_not_ascii_digits(text):
+    with pytest.raises(DomainError, match="is not an integer"):
+        frac_parse(text)
