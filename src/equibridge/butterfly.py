@@ -1,13 +1,13 @@
 """Closed-form equivariant invariants: butterfly polynomial, axis-linking
 numbers, the b = 0 reduction, the non-sliceness verdict and the nullity
-obstruction."""
+checks, as plain values; only `cli` renders them into a report."""
 from __future__ import annotations
 
 from typing import NamedTuple, Optional, Union
 
 from .laurent import Frozen, InvariantViolation, TCoeffs, lp, typed_equality
 from .presentations import I1Presentation
-from .rationals import Frac, eval_cf
+from .rationals import eval_cf
 
 
 def butterfly_polynomial(pres: I1Presentation) -> TCoeffs:
@@ -42,20 +42,16 @@ def reduce_if_b_zero(pres: I1Presentation) -> Optional[I1Presentation]:
 
 @typed_equality
 class AxisLinkWitness(NamedTuple):
+    kind = "axis_link"  # a class constant, not a field
     value: int
     which: str  # "K" or "aK"
-
-    def to_json(self) -> dict:
-        return {"kind": "axis_link", "value": self.value, "which": self.which}
 
 
 @typed_equality
 class ReducedAxisLinkWitness(NamedTuple):
+    kind = "reduced_axis_link"  # a class constant, not a field
     depth: int
     value: int
-
-    def to_json(self) -> dict:
-        return {"kind": "reduced_axis_link", "depth": self.depth, "value": self.value}
 
 
 Witness = Union[AxisLinkWitness, ReducedAxisLinkWitness]
@@ -67,19 +63,12 @@ class SliceObstructionCertificate(Frozen):
     """The non-sliceness verdict, which only a non-zero witness backs."""
 
     verdict = NOT_EQUIVARIANTLY_SLICE
-    _fields = ("witness", "trace")
+    _fields = ("witness", "trace")  # trace: the presentations read, given first
 
-    def __init__(self, witness: Witness, trace: tuple[str, ...]):
+    def __init__(self, witness: Witness, trace: tuple[I1Presentation, ...]):
         if witness is None or witness.value == 0:
             raise InvariantViolation("non-sliceness verdict without a witness")
         vars(self).update(witness=witness, trace=trace)
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "witness": self.witness.to_json(),
-            "trace": list(self.trace),
-        }
 
 
 def _axis_link_witness(pres: I1Presentation) -> Optional[AxisLinkWitness]:
@@ -101,7 +90,7 @@ def equivariant_slice_obstruction(pres: I1Presentation) -> SliceObstructionCerti
     """
     witness = _axis_link_witness(pres)
     if witness is not None:
-        return SliceObstructionCertificate(witness, (str(pres),))
+        return SliceObstructionCertificate(witness, (pres,))
     reduced = reduce_if_b_zero(pres)
     if reduced is None:
         raise InvariantViolation(
@@ -111,25 +100,12 @@ def equivariant_slice_obstruction(pres: I1Presentation) -> SliceObstructionCerti
         raise InvariantViolation(
             f"axis-linking reduction exceeded depth 1 for {pres}")
     return SliceObstructionCertificate(
-        ReducedAxisLinkWitness(1, witness.value), (str(pres), str(reduced)))
+        ReducedAxisLinkWitness(1, witness.value), (pres, reduced))
 
 
-@typed_equality
-class NullityReport(NamedTuple):
-    fraction: Frac  # p''/q'' of the butterfly link
-    h1_order: int
-    nullity: int
-
-    def to_json(self) -> dict:
-        return {
-            "butterfly_fraction": str(self.fraction),
-            "h1_order": self.h1_order,
-            "nullity": self.nullity,
-        }
-
-
-def nullity_obstruction(pres: I1Presentation) -> NullityReport:
-    """Nullity-1 certificate for the butterfly link, with the reversal check.
+def nullity_obstruction(pres: I1Presentation) -> None:
+    """The checks behind the butterfly link's nullity-1 record, whose values
+    `cli` derives: p''/q'', |p''| as the order of H1 and nullity 1.
 
     Verifies that reversing the knot's continued fraction preserves the
     numerator and inverts the denominator to -q^(-1) mod p, and that the
@@ -164,5 +140,4 @@ def nullity_obstruction(pres: I1Presentation) -> NullityReport:
             f"reversed butterfly fraction numerator mismatch for {pres}: "
             f"{full_rev} vs {bf}"
         )
-    return NullityReport(bf, abs(bf.p), 1)
 

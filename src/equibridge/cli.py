@@ -1,5 +1,5 @@
 """Command-line interface: analyze single knots, tabulate families, and run
-the randomized verification harness.
+the randomized verification harness.  No other module renders a report.
 
 Every start imports this module.  A standard-library module that only one
 branch uses is imported in that branch: `concurrent.futures` by a `table`
@@ -51,7 +51,8 @@ SCHEMA_VERSION = 1
 
 
 def analyze_presentation(pres: I1Presentation) -> dict:
-    """All invariants of one presentation; cross-checks re-asserted.
+    """All invariants of one presentation as its report record, the one
+    writer of README "Formats"; cross-checks re-asserted.
 
     The determinant, continuant and moth checks run inside
     `order_certificate`, which is arithmetic only.  The one geometric check
@@ -66,27 +67,36 @@ def analyze_presentation(pres: I1Presentation) -> dict:
         raise InvariantViolation(f"strip oracle disagrees with the formula for {pres}")
     lk_k, lk_ak = axis_linking(pres)
     cert = equivariant_slice_obstruction(pres)
-    nullity = nullity_obstruction(pres)
-    kf = pres.knot_fraction
+    nullity_obstruction(pres)
     bf = pres.butterfly_fraction
     order = order_certificate(pres)
     surface = determinant(seifert_matrix_data(build_lhat_diagram(pres)))
     if surface != order.determinant_lhat:
         raise InvariantViolation(f"butterfly determinant {surface} != "
                                  f"fraction numerator {order.determinant_lhat}")
-    order_json = order.to_json()
+    moth_num, moth_den = lp_to_str(order.moth.num), lp_to_str(order.moth.den)
     return {
         "i1": str(pres),
-        "knot_fraction": str(kf),
+        "knot_fraction": str(pres.knot_fraction),
         "butterfly_fraction": str(bf),
         "butterfly_polynomial": lp_to_str(bp),
         "axis_linking": {"K": lk_k, "aK": lk_ak},
-        "slice_obstruction": cert.to_json(),
-        "nullity": nullity.to_json(),
+        "slice_obstruction": {
+            "verdict": cert.verdict,
+            "witness": {"kind": cert.witness.kind, **cert.witness._asdict()},
+            "trace": [str(step) for step in cert.trace],
+        },
+        "nullity": {"butterfly_fraction": str(bf), "h1_order": abs(bf.p), "nullity": 1},
         "conway_knot": zp_to_str(order.conway_knot),
         "determinant_knot": order.determinant_knot,
-        "order": order_json,
-        "moth": {"num": order_json["moth_num"], "den": order_json["moth_den"]},
+        "order": {
+            "verdict": order.verdict,
+            "conway_lhat": zp_to_str(order.conway_lhat),
+            "det_lhat": order.determinant_lhat,
+            "moth_num": moth_num,
+            "moth_den": moth_den,
+        },
+        "moth": {"num": moth_num, "den": moth_den},
     }
 
 
@@ -431,6 +441,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvariantViolation as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): quiet the interpreter's last flush.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, the code of a process that SIGPIPE ends
 
 
 if __name__ == "__main__":

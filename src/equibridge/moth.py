@@ -10,13 +10,11 @@ butterfly link's determinant is, which the 2-bridge arithmetic guarantees.
 Both Conway polynomials are continuants of the continued fractions
 (Koseleff-Pecker, J. Symbolic Comput. 2015).  Each has one parity in z, so
 they are computed and checked as lists of coefficients in w = z^2, low to
-high and trimmed; only the report writes them in z.
+high and trimmed; the certificate holds them in z and `cli` renders them.
 """
 from __future__ import annotations
 
-from .laurent import (
-    Frozen, InvariantViolation, RationalFn, TCoeffs, ZCoeffs, lp_to_str, zp_to_str,
-)
+from .laurent import Frozen, InvariantViolation, RationalFn, TCoeffs, ZCoeffs
 from .presentations import I1Presentation
 from .rationals import Frac
 
@@ -140,7 +138,6 @@ class OrderCertificate(Frozen):
     """The infinite-order verdict, which only a non-zero nabla(L-hat) backs."""
 
     verdict = INFINITE_ORDER
-    # conway_knot is carried for the report, not serialized here.
     _fields = ("conway_lhat", "determinant_lhat", "moth",
                "conway_knot", "determinant_knot")
 
@@ -151,15 +148,6 @@ class OrderCertificate(Frozen):
         vars(self).update(conway_lhat=conway_lhat,
                           determinant_lhat=determinant_lhat, moth=moth,
                           conway_knot=conway_knot, determinant_knot=determinant_knot)
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "conway_lhat": zp_to_str(self.conway_lhat),
-            "det_lhat": self.determinant_lhat,
-            "moth_num": lp_to_str(self.moth.num),
-            "moth_den": lp_to_str(self.moth.den),
-        }
 
 
 def order_certificate(pres: I1Presentation) -> OrderCertificate:

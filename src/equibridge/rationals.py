@@ -86,11 +86,14 @@ def eval_cf(entries: Sequence[int]) -> Frac:
         raise DomainError("empty continued fraction")
     # One continuant product from the innermost entry out: p/q -> a + q/p
     # starting at 1/0.  Each step has determinant -1, so the pair stays
-    # coprime and never becomes 0/0; only the sign needs normalizing.
+    # coprime and never becomes 0/0, and no gcd is needed: q = 0 leaves
+    # p = +-1 and p = 0 leaves q = +-1, so fixing the sign gives 1/0 and 0/1.
     p, q = 1, 0
     for a in reversed(entries):
         p, q = a * p + q, p
-    return Frac.make(p, q)
+    if q < 0 or (q == 0 and p < 0):
+        p, q = -p, -q
+    return Frac(p, q)
 
 
 def cf_parse(text: str) -> list[int]:

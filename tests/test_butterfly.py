@@ -13,7 +13,7 @@ from equibridge.butterfly import (
     nullity_obstruction,
     reduce_if_b_zero,
 )
-from equibridge.cli import random_presentation
+from equibridge.cli import analyze_presentation, random_presentation
 from equibridge.laurent import InvariantViolation, lp_is_eta_admissible
 from equibridge.moth import INFINITE_ORDER, order_certificate
 from equibridge.presentations import I1Presentation, inversions_from_fraction, parse_i1
@@ -85,7 +85,7 @@ def test_obstruction_direct_witness():
     cert = equivariant_slice_obstruction(parse_i1("2;1"))
     assert cert.verdict == NOT_EQUIVARIANTLY_SLICE
     assert cert.witness == AxisLinkWitness(-4, "K")
-    assert cert.trace == ("I1(2;1)",)
+    assert cert.trace == (parse_i1("2;1"),)
 
 
 def test_obstruction_ak_witness():
@@ -96,7 +96,7 @@ def test_obstruction_ak_witness():
 def test_obstruction_reduced_witness():
     cert = equivariant_slice_obstruction(parse_i1("2,-2;2,2"))
     assert cert.witness == ReducedAxisLinkWitness(1, 2)
-    assert cert.trace == ("I1(2,-2;2,2)", "I1(2;2)")
+    assert cert.trace == (parse_i1("2,-2;2,2"), parse_i1("2;2"))
 
 
 def test_obstruction_total_on_enumeration():
@@ -112,25 +112,25 @@ def test_obstruction_total_on_enumeration():
 
 def test_certificate_requires_nonzero_witness():
     with pytest.raises(InvariantViolation):
-        SliceObstructionCertificate(AxisLinkWitness(0, "K"), ("I1(2;1)",))
+        SliceObstructionCertificate(AxisLinkWitness(0, "K"), (parse_i1("2;1"),))
 
 
 def test_nullity_examples():
-    rep = nullity_obstruction(parse_i1("2;1"))
-    assert rep.fraction == Frac.make(8, 5)
-    assert rep.h1_order == 8 and rep.nullity == 1
-    rep = nullity_obstruction(parse_i1("2;-1"))
-    assert rep.fraction == Frac.make(8, 3)
-    assert rep.h1_order == 8
+    for text, fraction in (("2;1", Frac.make(8, 5)), ("2;-1", Frac.make(8, 3))):
+        pres = parse_i1(text)
+        assert nullity_obstruction(pres) is None
+        assert pres.butterfly_fraction == fraction
+        assert analyze_presentation(pres)["nullity"] == {
+            "butterfly_fraction": str(fraction), "h1_order": 8, "nullity": 1}
 
 
 def test_nullity_reversal_check_runs_everywhere():
     rng = random.Random(6)
     for _ in range(200):
         pres = random_presentation(rng)
-        rep = nullity_obstruction(pres)
-        assert rep.nullity == 1
-        assert rep.h1_order % 2 == 0 and rep.h1_order > 0
+        assert nullity_obstruction(pres) is None
+        h1_order = abs(pres.butterfly_fraction.p)
+        assert h1_order % 2 == 0 and h1_order > 0
 
 
 def test_both_routes_certify_every_inversion_up_to_p_201():

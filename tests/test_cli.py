@@ -15,7 +15,6 @@ from equibridge.butterfly import (
     axis_linking,
     butterfly_polynomial,
     equivariant_slice_obstruction,
-    nullity_obstruction,
 )
 from equibridge.cli import analyze_presentation, knot_report
 from equibridge.laurent import InvariantViolation
@@ -238,9 +237,33 @@ def test_analyze_text_bytes_are_pinned(capsys, arg, digest):
     assert hashlib.sha256(out).hexdigest() == digest
 
 
+@pytest.mark.parametrize("arg, digest", [
+    ("--i1=2,-2;2,2",  # a reduced witness, in the given block
+     "88932ed42d6f9f094f83f656a67486cfb6486a980c2334f631283795f37bcfac"),
+    ("--i1=2,-2;1,1",  # b = 0
+     "46bf11e5974d212cb349002761f78177e0325e68d7f72eb7195634cce8a18219"),
+    ("--fraction=17/12",  # two inversions
+     "b3c4e90ff6bcddc42d8d060485888aae3e94d1cbe8e88204a07ff7ca9a3971bc"),
+])
+def test_analyze_json_bytes_are_pinned(capsys, arg, digest):
+    assert cli.main(["analyze", arg, "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
 def _analyze_json(capsys, arg):
     assert cli.main(["analyze", arg, "--format", "json"]) == 0
     return json.loads(capsys.readouterr().out)
+
+
+def test_analyze_timing_only_appends_elapsed_seconds(capsys):
+    plain = _analyze_json(capsys, "--fraction=17/12")
+    assert cli.main(["analyze", "--fraction=17/12", "--format", "json",
+                     "--timing"]) == 0
+    timed = json.loads(capsys.readouterr().out)
+    assert list(timed)[-1] == "elapsed_seconds"
+    assert timed.pop("elapsed_seconds") >= 0
+    assert timed == plain
 
 
 def test_negative_denominator_is_the_negative_fraction(capsys):
@@ -436,6 +459,22 @@ def test_table_parallel_pool_is_capped(monkeypatch, capsys, parallel, cpus,
 def test_table_rejects_parallel_below_one(capsys):
     assert cli.main(["table", "--max-p", "3", "--parallel", "0"]) == 2
     assert capsys.readouterr().err == "error: --parallel must be at least 1\n"
+
+
+def test_table_into_a_closed_pipe_exits_141_without_a_traceback():
+    # The p <= 45 table is 303 KB, more than a pipe holds, so the writer is
+    # still writing when the reader closes the pipe after one line.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "equibridge.cli", "table", "--max-p", "45"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
+    try:
+        assert json.loads(proc.stdout.readline())["p"] == 3
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 141 and err == b""
 
 
 def test_table_smallest():
@@ -689,13 +728,13 @@ def test_mirror_pairs_of_the_p201_table_negate_exactly_the_odd_invariants():
         for pres, mirror in zip(own, mirrors):
             assert butterfly_polynomial(mirror) == negated(butterfly_polynomial(pres))
             assert axis_linking(mirror) == tuple(-x for x in axis_linking(pres))
-            slice_cert, mirror_cert = (equivariant_slice_obstruction(x).to_json()
+            slice_cert, mirror_cert = (equivariant_slice_obstruction(x)
                                        for x in (pres, mirror))
-            assert mirror_cert["verdict"] == slice_cert["verdict"]
-            witness = slice_cert["witness"]
-            assert mirror_cert["witness"] == {**witness, "value": -witness["value"]}
-            assert (nullity_obstruction(mirror).h1_order
-                    == nullity_obstruction(pres).h1_order)
+            assert mirror_cert.verdict == slice_cert.verdict
+            witness = slice_cert.witness
+            assert mirror_cert.witness == witness._replace(value=-witness.value)
+            assert (abs(mirror.butterfly_fraction.p)
+                    == abs(pres.butterfly_fraction.p))
             order, mirror_order = (order_certificate(x) for x in (pres, mirror))
             assert mirror_order.conway_lhat == tuple(-x for x in order.conway_lhat)
             assert mirror_order.moth.num == negated(order.moth.num)

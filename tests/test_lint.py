@@ -16,6 +16,10 @@ computed in `moth`.
 arithmetic path loads it, and it loads neither `butterfly` nor `moth`,
 whose results it checks.
 
+Only `cli` renders: no other package module imports the renderers
+`lp_to_str` and `zp_to_str`, except `laurent`, which defines them.  The
+certificates are values, and the report is written in one place.
+
 A record keeps only what something reads: every `__slots__` name is read
 as an attribute somewhere in the package outside its class's `__init__`.
 
@@ -87,6 +91,17 @@ def test_strip_imports_nothing_from_butterfly():
     imported = imported_modules(source, "equibridge")
     assert "equibridge.presentations" in imported
     assert "equibridge.butterfly" not in imported
+
+
+RENDERERS = {"equibridge.laurent.lp_to_str", "equibridge.laurent.zp_to_str"}
+
+
+def test_only_cli_imports_a_renderer():
+    files = sorted(Path(equibridge.__file__).parent.glob("*.py"))
+    assert {"cli", "moth", "butterfly"} <= {path.stem for path in files}
+    importers = {path.stem for path in files
+                 if RENDERERS & imported_modules(path.read_text(), "equibridge")}
+    assert importers - {"laurent"} == {"cli"}
 
 
 def import_closure(names: list[str], package: str = "equibridge") -> set[str]:
