@@ -25,7 +25,7 @@ from .laurent import (
     lp_to_str,
     zp_to_str,
 )
-from .rationals import frac_parse, cf_parse, schubert_classes
+from .rationals import _int_field, frac_parse, cf_parse, schubert_classes
 from .presentations import (
     I1Presentation,
     inversions_from_fraction,
@@ -48,6 +48,20 @@ if TYPE_CHECKING:
     import random
 
 SCHEMA_VERSION = 1
+# The most crossings, sum |butterfly_cf()|, of a butterfly link that
+# `analyze` or `oracle eta` takes on: the most of any class at p <= 1001,
+# reached at 1001/1000.
+MAX_CROSSINGS = 3000
+
+
+def within_budget(pres: I1Presentation) -> I1Presentation:
+    """pres, or a DomainError if its butterfly link has over MAX_CROSSINGS
+    crossings: the dense lists and diagrams of the analysis grow with them."""
+    crossings = sum(map(abs, pres.butterfly_cf()))
+    if crossings > MAX_CROSSINGS:
+        raise DomainError(f"{pres}: butterfly link has {crossings} crossings, "
+                          f"over the limit of {MAX_CROSSINGS}")
+    return pres
 
 
 def analyze_presentation(pres: I1Presentation) -> dict:
@@ -106,8 +120,7 @@ def knot_report(
     i1: Optional[str] = None,
     timing: bool = False,
 ) -> dict:
-    given = [x for x in (fraction, cf, i1) if x is not None]
-    if len(given) != 1:
+    if sum(x is not None for x in (fraction, cf, i1)) != 1:
         raise DomainError("exactly one of --fraction, --cf, --i1 is required")
     t0 = time.monotonic()
     records: dict[I1Presentation, dict] = {}
@@ -118,22 +131,27 @@ def knot_report(
         return records[pres]
 
     report: dict = {"schema_version": SCHEMA_VERSION}
+    given = None
     if fraction is not None:
         f = frac_parse(fraction)
         report["input"] = {"kind": "fraction", "text": fraction}
         pair = inversions_from_fraction(f.p, f.q)
     else:
-        pres = (
+        given = (
             presentation_from_cf(cf_parse(cf)) if cf is not None else parse_i1(i1)
         )
         report["input"] = {
             "kind": "cf" if cf is not None else "i1",
             "text": cf if cf is not None else i1,
         }
-        report["given"] = analyzed(pres)
-        kf = pres.knot_fraction
-        p, q = kf.positive_numerator()
+        p, q = given.knot_fraction.positive_numerator()
         pair = inversions_from_fraction(p, q)
+    # Every presentation is held to the budget before any is analyzed.
+    for pres in (given, pair.inv1, pair.inv2):
+        if pres is not None:
+            within_budget(pres)
+    if given is not None:
+        report["given"] = analyzed(given)
     report["fraction"] = str(pair.source)
     report["even_cf"] = list(pair.expansion.entries)
     report["inversions"] = [analyzed(pair.inv1)]
@@ -169,6 +187,8 @@ def _render_text(report: dict, out) -> None:
         print(f"  moth polynomial      ({inv['moth']['num']}) / "
               f"({inv['moth']['den']})", file=out)
         print(f"  order                {inv['order']['verdict']}", file=out)
+    if "elapsed_seconds" in report:
+        print(f"elapsed_seconds {report['elapsed_seconds']}", file=out)
 
 
 def cmd_analyze(args) -> int:
@@ -249,6 +269,9 @@ def cmd_table(args) -> int:
                         writer.writeheader()
                     writer.writerows(class_rows)
                 written += 1
+    except DomainError as exc:  # a class past a budget
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if args.out:
             out.close()
@@ -383,7 +406,7 @@ def cmd_oracle_eta(args) -> int:
             with open(args.strip) as fh:
                 diagram = parse_strip(fh.read())
         else:
-            diagram = build_strip(parse_i1(args.i1))
+            diagram = build_strip(within_budget(parse_i1(args.i1)))
         labeled = label_strip(diagram)
     except (DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -398,6 +421,14 @@ def cmd_oracle_eta(args) -> int:
         print(f"  {over} {under} {'+' if eps > 0 else '-'}1 d={d}")
     print(f"eta = {lp_to_str(eta_from_strip(labeled))}")
     return 0
+
+
+def _integer(text: str) -> int:
+    """An integer option, in the one grammar of `rationals._int_field`."""
+    try:
+        return _int_field(text, "value")
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -416,15 +447,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     pa.set_defaults(func=cmd_analyze)
 
     pt = sub.add_parser("table", help="one record per Schubert class")
-    pt.add_argument("--max-p", type=int, required=True)
+    pt.add_argument("--max-p", type=_integer, required=True)
     pt.add_argument("--out", help="output path (default stdout)")
     pt.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    pt.add_argument("--parallel", type=int, default=1)
+    pt.add_argument("--parallel", type=_integer, default=1)
     pt.set_defaults(func=cmd_table)
 
     pv = sub.add_parser("verify", help="run the randomized cross-check suites")
-    pv.add_argument("--samples", type=int, default=100)
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--samples", type=_integer, default=100)
+    pv.add_argument("--seed", type=_integer, default=0)
     pv.set_defaults(func=cmd_verify)
 
     po = sub.add_parser("oracle", help="oracle subcommands")

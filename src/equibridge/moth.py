@@ -36,19 +36,19 @@ def conway_in_w(pres: I1Presentation) -> tuple[list[int], ...]:
     [[1 + (a/2)c w, (a/2)z], [c z, 1]], of determinant 1, so A = nabla(K)
     and AD - wBC = 1.  L = nabla(L-hat)/z is the continuant of the
     butterfly entries with every sign flipped: the same product over the
-    negated pairs, kept in its own top row, then a last x = (b/2)z.
+    negated pairs, which is [[A, -zB], [-zC, D]] since [[-x, 1], [1, 0]] =
+    -S [[x, 1], [1, 0]] S for S = diag(1, -1), then x = (b/2)z; so
+    L = (b/2)A - B.
     """
-    A, D, top_a = ([1] + [0] * pres.n for _ in range(3))
-    B, C, top_b = ([0] * (pres.n + 1) for _ in range(3))
+    A, D = ([1] + [0] * pres.n for _ in range(2))
+    B, C = ([0] * (pres.n + 1) for _ in range(2))
     for a, c in zip(pres.alphas, pres.cs):
         h = a // 2
         B = [x + h * y for x, y in zip(B, A)]
         A = [x + c * y for x, y in zip(A, [0] + B)]
         D = [x + h * y for x, y in zip(D, [0] + C)]
         C = [x + c * y for x, y in zip(C, D)]
-        top_b = [x - h * y for x, y in zip(top_b, top_a)]
-        top_a = [x - c * y for x, y in zip(top_a, [0] + top_b)]
-    L = [pres.b // 2 * x + y for x, y in zip(top_a, top_b)]
+    L = [pres.b // 2 * x - y for x, y in zip(A, B)]
     return tuple(_trim(p) for p in (A, B, C, D, L))
 
 
@@ -78,41 +78,40 @@ def _at(p: list[int], k: int) -> int:
     return v
 
 
-def _identities_hold(conway: tuple[list[int], ...], b: int) -> tuple[bool, bool]:
-    """Whether AD - wBC = 1 and (b/2)A - B = L, each tested exactly in big
-    integers at the one point w = 2^k.
+def _bezout_holds(polys: tuple[list[int], ...], h: int) -> bool:
+    """Whether A (D - h w C) + w C L = 1, polys = (A, C, D, L), tested
+    exactly in big integers at the one point w = 2^k.
 
-    With n the longest list's length and m the largest of |b/2| and every
-    |coefficient|, no coefficient of AD - wBC - 1 or (b/2)A - B - L exceeds
-    2 n m^2 + 1 in absolute value, which k = 2 bitlen(m) + bitlen(n + 1) + 3
-    puts below 2^k.  A non-zero integer polynomial with every coefficient
-    below 2^k in absolute value has no root at 2^k, since 2^k would divide
-    its lowest non-zero coefficient.
+    With n the longest list and m the largest |coefficient| of the four, no
+    coefficient of the difference exceeds n m^2 (|h| + 2) + 1 in absolute
+    value.  As n < 2^bitlen(n + 1), m^2 < 4^bitlen(m) and |h| + 2 <
+    2^(bitlen(h) + 2), that is at most 2^(k - 2) for
+    k = 2 bitlen(m) + bitlen(h) + bitlen(n + 1) + 4.  A non-zero integer
+    polynomial with every coefficient below 2^k in absolute value has no
+    root at 2^k, since 2^k would divide its lowest non-zero coefficient.
     """
-    bits = max(max(map(int.bit_length, p), default=0) for p in conway + ([b // 2],))
-    k = 2 * bits + (max(map(len, conway)) + 1).bit_length() + 3
-    av, bv, cv, dv, lv = (_at(p, k) for p in conway)
-    return av * dv - (bv * cv << k) == 1, b // 2 * av - bv == lv
+    bits = max(max(map(int.bit_length, p), default=0) for p in polys)
+    k = 2 * bits + h.bit_length() + (max(map(len, polys)) + 1).bit_length() + 4
+    av, cv, dv, lv = (_at(p, k) for p in polys)
+    return av * (dv - (h * cv << k)) + (cv * lv << k) == 1
 
 
 def certified_moth(conway: tuple[list[int], ...], b: int) -> RationalFn:
     """nabla(L-hat)(z) / (z * nabla(K)(z)) as a rational function of t, in
     the canonical form of `oracles.rf_make`, with no gcd.
 
-    `conway` is (A, B, C, D, L) of `conway_in_w` and b the balancing entry.
-    The knot's continuant matrix has determinant 1, so A = nabla(K) and B
-    are coprime, and so are A and L = (b/2)A - B.  Both are polynomials in
-    w = z^2, hence stay coprime in t.  At t = 1, w = 0, so den(1) = A(0) =
-    nabla(K)(0) = 1, and the joint content, which divides den(1), is 1.
-    Only powers of t and the sign are normalized.
+    `conway` is (A, B, C, D, L) of `conway_in_w` and b the balancing entry;
+    B is not read.  Since AD - wBC = 1 and L = (b/2)A - B, the Bezout
+    identity A (D - (b/2) w C) + w C L = 1 holds, and `_bezout_holds`
+    checks it, so A = nabla(K) and L = nabla(L-hat)/z are coprime.  Both
+    are polynomials in w = z^2, hence stay coprime in t.  At t = 1, w = 0,
+    so den(1) = A(0) = nabla(K)(0) = 1, and the joint content, which
+    divides den(1), is 1.  Only powers of t and the sign are normalized.
     """
-    A, L = conway[0], conway[4]
-    determinant_one, butterfly_row = _identities_hold(conway, b)
-    if not determinant_one:
-        raise InvariantViolation("knot continuant matrix does not have determinant 1")
-    if not butterfly_row:
+    A, _, C, D, L = conway
+    if not _bezout_holds((A, C, D, L), b // 2):
         raise InvariantViolation(
-            "butterfly-link Conway polynomial is not (b/2) z nabla(K) - K(x1..x(m-1))")
+            "knot continuant matrix and nabla(L-hat)/z fail their Bezout identity")
     if not L or L[0] != 0:
         # The z coefficient of nabla(L-hat) is the linking number, which must vanish.
         raise InvariantViolation("butterfly-link Conway polynomial has a z term")

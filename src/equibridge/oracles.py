@@ -29,6 +29,7 @@ from . import strip
 from .laurent import (DomainError, Frozen, InvariantViolation, RationalFn, TCoeffs,
                       lp, typed_equality)
 from .presentations import I1Presentation
+from .rationals import _int_field
 from .strip import BOTTOM, RAIL, TOP, _vanishing_at_one
 
 
@@ -342,8 +343,8 @@ def _parse_endpoint(tok: str, lineno: int) -> Endpoint:
     if edge not in (TOP, BOTTOM):
         raise StripError(f"line {lineno}: unknown edge {edge!r}")
     try:
-        return Endpoint(edge, int(slot))
-    except ValueError:
+        return Endpoint(edge, _int_field(slot, "slot"))
+    except DomainError:
         raise StripError(f"line {lineno}: bad slot {slot!r}") from None
 
 
@@ -361,28 +362,28 @@ def parse_strip(text: str) -> StripDiagram:
         kind = toks[0]
         try:
             if kind == "slots":
-                slots = int(toks[1])
+                slots = _int_field(toks[1], "slots")
             elif kind == "arc":
-                ident = int(toks[1])
+                ident = _int_field(toks[1], "arc id")
                 first = _parse_endpoint(toks[2], lineno)
                 second = _parse_endpoint(toks[3], lineno)
                 role = toks[4].replace("_", " ") if len(toks) > 4 else ""
                 arcs.append(Arc(ident, first, second, role))
             elif kind == "cross":
-                crossings.append(Crossing(int(toks[1]), int(toks[2]), int(toks[3])))
+                crossings.append(Crossing(*(_int_field(toks[i], "crossing field")
+                                            for i in (1, 2, 3))))
             elif kind == "start":
                 if toks[2] not in ("fwd", "rev"):
                     raise StripError(f"line {lineno}: direction must be fwd or rev")
-                start = (int(toks[1]), toks[2] == "fwd")
+                start = (_int_field(toks[1], "start arc"), toks[2] == "fwd")
             else:
                 raise StripError(f"line {lineno}: unknown directive {kind!r}")
-        except (IndexError, ValueError) as exc:
+        except StripError:
+            raise
+        except (IndexError, DomainError) as exc:
             raise StripError(f"line {lineno}: malformed {kind!r} line") from exc
     if slots is None:
         raise StripError("missing 'slots' line")
     if start is None:
         raise StripError("missing 'start' line")
-    try:
-        return StripDiagram(slots, tuple(arcs), tuple(crossings), start[0], start[1])
-    except StripError as exc:
-        raise StripError(str(exc)) from None
+    return StripDiagram(slots, tuple(arcs), tuple(crossings), start[0], start[1])

@@ -17,7 +17,7 @@ from equibridge.butterfly import (
     equivariant_slice_obstruction,
 )
 from equibridge.cli import analyze_presentation, knot_report
-from equibridge.laurent import InvariantViolation
+from equibridge.laurent import DomainError, InvariantViolation
 from equibridge.moth import order_certificate
 from equibridge.presentations import I1Presentation, inversions_from_fraction
 from equibridge.rationals import schubert_classes
@@ -256,6 +256,17 @@ def _analyze_json(capsys, arg):
     return json.loads(capsys.readouterr().out)
 
 
+def test_analyze_timing_in_text_adds_one_last_line(capsys):
+    assert cli.main(["analyze", "--fraction=17/12"]) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(["analyze", "--fraction=17/12", "--timing"]) == 0
+    timed = capsys.readouterr().out
+    assert timed.startswith(plain)
+    name, value = timed[len(plain):].rstrip("\n").split(" ")
+    assert name == "elapsed_seconds" and float(value) >= 0
+    assert timed.count("\n") == plain.count("\n") + 1
+
+
 def test_analyze_timing_only_appends_elapsed_seconds(capsys):
     plain = _analyze_json(capsys, "--fraction=17/12")
     assert cli.main(["analyze", "--fraction=17/12", "--format", "json",
@@ -327,6 +338,65 @@ def test_a_long_even_continued_fraction_exits_2_in_bounded_memory_and_time():
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines() == [
         "error: 100000001/3: even continued fraction over 2000 entries"]
+
+
+def _capped_run(args, limit_bytes, timeout):
+    """The CLI in a child process under an address-space cap of its own."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+
+    return subprocess.run([sys.executable, "-m", "equibridge.cli", *args],
+                          capture_output=True, text=True, env=CHILD_ENV,
+                          preexec_fn=cap, timeout=timeout)
+
+
+@pytest.mark.parametrize("args, crossings", [
+    (("analyze", "--i1=2000000000;1"), 4000000002),
+    (("analyze", "--i1=2;2000000000"), 4000000004),
+    # inv1 of 1000000001/2 is I1(500000000;-1)
+    (("analyze", "--fraction=1000000001/2"), 1000000002),
+    (("oracle", "eta", "--i1=2;2000000000"), 4000000004),
+    # 3000 crossings, but its second inversion, I1(2996;1), has 5994: no
+    # presentation is analyzed
+    (("analyze", "--i1=2;1498"), 5994),
+])
+def test_huge_twist_counts_exit_2_in_bounded_memory_and_time(args, crossings):
+    proc = _capped_run(args, 1 << 30, 60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: I1(")
+    assert lines[0].endswith(f"butterfly link has {crossings} crossings, "
+                             "over the limit of 3000")
+
+
+def test_the_crossing_budget_admits_the_largest_class_up_to_p_1001():
+    """1001/1000 has the most butterfly crossings of every class at
+    p <= 1001, exactly the limit; one more twist is past it."""
+    presentations = [pres for pres in inversions_from_fraction(1001, 1000)[:2] if pres]
+    for pres in presentations:
+        assert cli.within_budget(pres) is pres
+        assert sum(map(abs, pres.butterfly_cf())) == cli.MAX_CROSSINGS == 3000
+    pres = presentations[0]
+    over = I1Presentation(pres.alphas, pres.cs[:-1] + (pres.cs[-1] + 1,))
+    with pytest.raises(DomainError, match="has 3002 crossings, over the limit"):
+        cli.within_budget(over)
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--max-p", "\u0669"],
+    ["table", "--max-p", "9", "--parallel", "\u0662"],
+    ["verify", "--samples", "1_0"],
+    ["verify", "--seed", "\u0663"],
+])
+def test_integer_options_take_ascii_digits_only(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv)
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"value is not an integer: {argv[-1]!r}" in captured.err
 
 
 def test_verify_lists_every_failure_with_its_exception(monkeypatch, capsys):
@@ -602,6 +672,23 @@ def test_oracle_eta_strip_file(tmp_path):
      "label walk does not visit every arc"),
 ])
 def test_oracle_eta_strip_whose_label_walk_fails(tmp_path, capsys, text, message):
+    path = tmp_path / "s.strip"
+    path.write_text(text)
+    assert cli.main(["oracle", "eta", "--strip", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    # integers are ASCII [+-]?[0-9]+, as in every other field
+    ("slots \u0664\n", "line 1: malformed 'slots' line"),
+    ("slots 4\narc 1_0 top:1 top:2\n", "line 2: malformed 'arc' line"),
+    ("slots 4\narc 1 top:\u0661 top:2\n", "line 2: bad slot '\u0661'"),
+    ("slots 4\ncross 1 2\n", "line 2: malformed 'cross' line"),
+    ("slots 4\nstart 1 sideways\n", "line 2: direction must be fwd or rev"),
+])
+def test_oracle_eta_strip_that_does_not_parse(tmp_path, capsys, text, message):
     path = tmp_path / "s.strip"
     path.write_text(text)
     assert cli.main(["oracle", "eta", "--strip", str(path)]) == 2

@@ -20,6 +20,9 @@ Only `cli` renders: no other package module imports the renderers
 `lp_to_str` and `zp_to_str`, except `laurent`, which defines them.  The
 certificates are values, and the report is written in one place.
 
+Outside text has one integer grammar, `rationals._int_field`: no other
+function calls the builtin `int`, and no option is parsed with `type=int`.
+
 A record keeps only what something reads: every `__slots__` name is read
 as an attribute somewhere in the package outside its class's `__init__`.
 
@@ -69,6 +72,47 @@ def test_float_uses_catches_each_kind():
                    "import decimal\nx = decimal.Decimal(1)",
                    "from fractions import Fraction", "from x import y as Fraction"):
         assert float_uses(source), source
+
+
+def int_parses(source: str) -> list[str]:
+    """One line per call of the builtin `int` outside a function named
+    `_int_field`, and per `add_argument(..., type=int)`, in `source`."""
+    found = []
+
+    def walk(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "int"
+                    and function != "_int_field"):
+                found.append(f"{node.lineno}: int() in {function}")
+            if isinstance(func, ast.Attribute) and func.attr == "add_argument":
+                found.extend(f"{node.lineno}: type=int" for kw in node.keywords
+                             if kw.arg == "type" and isinstance(kw.value, ast.Name)
+                             and kw.value.id == "int")
+        for child in ast.iter_child_nodes(node):
+            walk(child, function)
+
+    walk(ast.parse(source), None)
+    return found
+
+
+def test_only_int_field_parses_an_integer():
+    root = Path(equibridge.__file__).parent
+    assert "def _int_field(" in (root / "rationals.py").read_text()
+    found = [f"{path.name}:{use}" for path in sorted(root.glob("*.py"))
+             for use in int_parses(path.read_text())]
+    assert found == []
+
+
+def test_int_parses_catches_each_kind():
+    allowed = ("def _int_field(t):\n    return int(t)\n"
+               "x = isinstance(1, int)\np.add_argument('--n', type=str)\n")
+    assert int_parses(allowed) == []
+    assert int_parses("def f(t):\n    return int(t)\n") == ["2: int() in f"]
+    assert int_parses("x = int('1')") == ["1: int() in None"]
+    assert int_parses("p.add_argument('--n', type=int, default=1)") == ["1: type=int"]
 
 
 def imported_modules(source: str, package: str) -> set[str]:

@@ -135,26 +135,27 @@ def test_wrong_conway_polynomial_fails_the_determinant_check(
 
 def _exponent(conway, b):
     """The k of the one-point check, w = 2^k, from the inputs given: m the
-    largest of |b/2| and every |coefficient|, n the longest list's length."""
-    m = max(abs(c) for p in conway + ([b // 2],) for c in p)
-    return 2 * m.bit_length() + (max(map(len, conway)) + 1).bit_length() + 3
+    largest |coefficient| and n the longest list of A, C, D and L, h = b/2."""
+    A, _, C, D, L = conway
+    m = max(abs(c) for p in (A, C, D, L) for c in p)
+    n = max(map(len, (A, C, D, L)))
+    return 2 * m.bit_length() + (b // 2).bit_length() + (n + 1).bit_length() + 4
 
 
 # k of the trefoil presentation I1(2;1), before any patch
 K_TREFOIL = _exponent(moth.conway_in_w(parse_i1("2;1")), 2)
+BEZOUT = "knot continuant matrix and nabla(L-hat)/z fail their Bezout identity"
 
 
 @pytest.mark.parametrize("sign, row, col, extra, message", [
     # a wrong C or D of the knot's continuant matrix
-    (1, 1, 0, {0: 2}, "knot continuant matrix does not have determinant 1"),
-    (1, 1, 1, {1: 1}, "knot continuant matrix does not have determinant 1"),
+    (1, 1, 0, {0: 2}, BEZOUT),
+    (1, 1, 1, {1: 1}, BEZOUT),
     # 4w + w^2 vanishes at w = -4, so the determinant checks still pass
-    (-1, 0, 0, {1: 4, 2: 1},
-     "butterfly-link Conway polynomial is not (b/2) z nabla(K) - K(x1..x(m-1))"),
+    (-1, 0, 0, {1: 4, 2: 1}, BEZOUT),
     # 2^k - w, k of the unpatched input, vanishes at w = 2^k; the patched
     # input has a larger k, at which it does not
-    (1, 0, 1, {0: 2**K_TREFOIL, 1: -1},
-     "knot continuant matrix does not have determinant 1"),
+    (1, 1, 1, {0: 2**K_TREFOIL, 1: -1}, BEZOUT),
 ])
 def test_wrong_cofactor_or_continuant_fails_the_moth_certificate(
         monkeypatch, capsys, sign, row, col, extra, message):
@@ -166,8 +167,16 @@ def test_wrong_cofactor_or_continuant_fails_the_moth_certificate(
     assert capsys.readouterr().err == f"error: internal check failed: {message}\n"
 
 
+def test_a_patch_of_b_is_not_read_by_the_certificate(monkeypatch):
+    """B enters the moth only through L = (b/2)A - B, which `conway_in_w`
+    forms; the certificate reads A, C, D and L alone."""
+    real = order_certificate(parse_i1("2;1"))
+    _patch_continuant(monkeypatch, 1, 0, 1, {0: 5, 3: 1})
+    assert order_certificate(parse_i1("2;1")) == real
+
+
 def test_a_negated_continuant_matrix_fails_the_normalization(monkeypatch, capsys):
-    """-A, -B, -C, -D and -L keep both identities and both determinants,
+    """-A, -B, -C, -D and -L keep the Bezout identity and both determinants,
     but den(1) = -A(0) = -1, and the content-1 argument needs den(1) = 1."""
     real = moth.conway_in_w
     monkeypatch.setattr(moth, "conway_in_w",
@@ -179,15 +188,16 @@ def test_a_negated_continuant_matrix_fails_the_normalization(monkeypatch, capsys
     assert capsys.readouterr().err == f"error: internal check failed: {message}\n"
 
 
-def test_no_point_2_to_the_j_hides_a_patch_of_b():
-    """2^j - w vanishes at w = 2^j only, so added to B it is caught for
-    every j exactly when the one-point check's k is none of them."""
+def test_no_point_2_to_the_j_hides_a_patch_of_d_or_l():
+    """2^j - w vanishes at w = 2^j only, so added to D or to L it is caught
+    for every j exactly when the one-point check's k is none of them."""
     A, B, C, D, L = moth.conway_in_w(parse_i1("2;1"))
     for j in range(1, 4 * K_TREFOIL):
-        patched = _sub(B, [-2**j, 1])  # B + 2^j - w
-        assert moth._at(patched, j) == moth._at(B, j)
-        assert _list_identities((A, patched, C, D, L), 2) == (False, False)
-        assert moth._identities_hold((A, patched, C, D, L), 2) == (False, False), j
+        bump = [-2**j, 1]  # minus (2^j - w)
+        assert moth._at(bump, j) == 0
+        for wrong in ((A, B, C, _sub(D, bump), L), (A, B, C, D, _sub(L, bump))):
+            assert not _list_bezout(wrong, 2)
+            assert not _one_point(wrong, 2), j
 
 
 def _sub(a, b):
@@ -197,19 +207,28 @@ def _sub(a, b):
     return moth._trim(out)
 
 
-def _list_identities(conway, b):
-    """The reference for `moth._identities_hold`: AD - wBC = 1 and
-    (b/2)A - B = L with every product of lists written out, O(n^2)."""
-    A, B, C, D, L = conway
-    return (_sub(_pmul(A, D), [0] + _pmul(B, C)) == [1],
-            _sub([b // 2 * x for x in A], B) == L)
+def _add(a, b):
+    return _sub(a, [-x for x in b])
+
+
+def _one_point(conway, b):
+    A, _, C, D, L = conway
+    return moth._bezout_holds((A, C, D, L), b // 2)
+
+
+def _list_bezout(conway, b):
+    """The reference for `moth._bezout_holds`: A (D - (b/2) w C) + w C L = 1
+    with every product of lists written out, O(n^2)."""
+    A, _, C, D, L = conway
+    cofactor = _sub(D, [0] + [b // 2 * x for x in C])
+    return _add(_pmul(A, cofactor), [0] + _pmul(C, L)) == [1]
 
 
 def _corrupt(draw, conway):
     """conway with one coefficient moved by +-1 or one c w^i added to one
-    of its five lists, trimmed as `conway_in_w` leaves them."""
+    of A, C, D and L, trimmed as `conway_in_w` leaves them."""
     out = [list(p) for p in conway]
-    entry = out[draw(st.integers(0, 4))]
+    entry = out[draw(st.sampled_from([0, 2, 3, 4]))]
     i = draw(st.integers(0, len(entry) + 2))
     entry += [0] * (i + 1 - len(entry))
     if draw(st.booleans()):
@@ -261,11 +280,35 @@ def test_certified_moth_matches_the_gcd_reduction(data):
 def test_the_one_point_check_agrees_with_the_list_products(twists, data):
     pres = I1Presentation(*map(tuple, twists))
     conway = moth.conway_in_w(pres)
-    assert moth._identities_hold(conway, pres.b) == (True, True)
-    assert _list_identities(conway, pres.b) == (True, True)
+    assert _one_point(conway, pres.b) and _list_bezout(conway, pres.b)
     wrong = _corrupt(data.draw, conway)
-    assert moth._identities_hold(wrong, pres.b) == _list_identities(wrong, pres.b)
-    assert _list_identities(wrong, pres.b) != (True, True)
+    assert _one_point(wrong, pres.b) is _list_bezout(wrong, pres.b) is False
+
+
+def _continuant(xs):
+    """K(x_1, ..., x_n) of polynomials in z (lists, low to high), by
+    K_i = x_i K_(i-1) + K_(i-2) from K_0 = 1 and K_(-1) = 0."""
+    before, current = [], [1]
+    for x in xs:
+        before, current = current, _add(_pmul(x, current), before)
+    return current
+
+
+def test_l_is_the_butterfly_continuant_up_to_p_201():
+    """z L, with L = (b/2)A - B from `conway_in_w`, is the continuant of
+    the butterfly's continued fraction e_0, ..., e_2n at
+    x_i = -(-1)^i (e_i/2) z, on every inversion of the p <= 201 table."""
+    count = 0
+    for p, q in schubert_classes(201):
+        for pres in inversions_from_fraction(p, q)[:2]:
+            if pres is not None:
+                A, B, C, D, L = moth.conway_in_w(pres)
+                assert L == _sub([pres.b // 2 * x for x in A], B)
+                xs = [[0, -(-1)**i * (e // 2)]
+                      for i, e in enumerate(pres.butterfly_cf())]
+                assert list(moth._in_z(L, 1)) == _continuant(xs), pres
+                count += 1
+    assert count == 6161
 
 
 def test_certified_moth_of_200_pairs_is_fast():

@@ -184,7 +184,7 @@ def test_conway_continuant_examples():
     figure_eight = conway_in_w(parse_i1("2;-1"))[0]
     assert _in_z(figure_eight, 0) == zp_parse("1 - z^2")
     assert _in_z(conway_in_w(parse_i1("4;-3"))[4], 1) == zp_parse("-12*z^3")
-    # b = 0: L is the negated pairs' B alone, whose top slot stays zero
+    # b = 0: L = -B, whose top slot stays zero until it is trimmed
     lhat = conway_in_w(parse_i1("2,-2;1,1"))[4]
     assert _in_z(lhat, 1) == zp_parse("z^3") and lhat[-1] != 0
 
