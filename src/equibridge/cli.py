@@ -1,5 +1,6 @@
 """Command-line interface: analyze single knots, tabulate families, and run
-the randomized verification harness.  No other module renders a report.
+the randomized verification harness.  No other module renders a report,
+and no function but `main` turns an exception into an exit code.
 
 Every start imports this module.  A standard-library module that only one
 branch uses is imported in that branch: `concurrent.futures` by a `table`
@@ -49,8 +50,8 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = 1
 # The most crossings, sum |butterfly_cf()|, of a butterfly link that
-# `analyze` or `oracle eta` takes on: the most of any class at p <= 1001,
-# reached at 1001/1000.
+# `analyze`, `table` or `oracle eta` takes on: the most of any class at
+# p <= 1001, reached at 1001/1000.
 MAX_CROSSINGS = 3000
 
 
@@ -153,7 +154,7 @@ def knot_report(
     if given is not None:
         report["given"] = analyzed(given)
     report["fraction"] = str(pair.source)
-    report["even_cf"] = list(pair.expansion.entries)
+    report["even_cf"] = pair.inv1.knot_cf()
     report["inversions"] = [analyzed(pair.inv1)]
     if pair.inv2 is not None:
         report["inversions"].append(analyzed(pair.inv2))
@@ -192,11 +193,7 @@ def _render_text(report: dict, out) -> None:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        report = knot_report(args.fraction, args.cf, args.i1, timing=args.timing)
-    except (DomainError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = knot_report(args.fraction, args.cf, args.i1, timing=args.timing)
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=False))
     else:
@@ -230,23 +227,36 @@ def _flatten_for_csv(p: int, q: int, report: dict) -> list[dict]:
     return rows
 
 
-def cmd_table(args) -> int:
-    if args.max_p < 3:
-        print("error: --max-p must be at least 3", file=sys.stderr)
-        return 2
-    if args.parallel < 1:
-        print("error: --parallel must be at least 1", file=sys.stderr)
-        return 2
+def table_within_budget(max_p: int) -> None:
+    """A DomainError if the table up to max_p lists a class over the budget:
+    (p, p - 1) for the largest odd p, whose one inversion [2, -2, ...] has
+    3(p - 1) butterfly crossings, the most of any class up to p = 1001."""
+    top = max_p - 1 + max_p % 2
+    if 3 * (top - 1) > MAX_CROSSINGS:
+        raise DomainError(f"--max-p {max_p}: class {top}/{top - 1} has {3 * (top - 1)}"
+                          f" butterfly crossings, over the limit of {MAX_CROSSINGS}")
+
+
+def _open_output(path: Optional[str]):
     try:
-        out = open(args.out, "w") if args.out else sys.stdout
+        return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        classes = schubert_classes(args.max_p)
+        raise DomainError(f"cannot write {path}: {exc}") from None
+
+
+def cmd_table(args) -> int:
+    max_p = _int_field(args.max_p, "--max-p")
+    parallel = _int_field(args.parallel, "--parallel")
+    if max_p < 3:
+        raise DomainError("--max-p must be at least 3")
+    if parallel < 1:
+        raise DomainError("--parallel must be at least 1")
+    table_within_budget(max_p)
+    with _open_output(args.out) as out:
+        classes = schubert_classes(max_p)
         # A forked pool starts every worker at once, so never ask for more
         # workers than there are CPUs or classes.
-        workers = min(args.parallel, os.cpu_count() or 1, len(classes))
+        workers = min(parallel, os.cpu_count() or 1, len(classes))
         if workers > 1:
             import concurrent.futures
             pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
@@ -269,12 +279,6 @@ def cmd_table(args) -> int:
                         writer.writeheader()
                     writer.writerows(class_rows)
                 written += 1
-    except DomainError as exc:  # a class past a budget
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if args.out:
-            out.close()
     print(f"{written} classes written", file=sys.stderr)
     return 0
 
@@ -319,13 +323,13 @@ def analyze_ready(pres: I1Presentation) -> str:
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 1:
-        print("error: --samples must be at least 1", file=sys.stderr)
-        return 2
+    s = _int_field(args.samples, "--samples")
+    if s < 1:
+        raise DomainError("--samples must be at least 1")
     import random
 
     from .oracles import rf_make, subs_inv_equal, z_to_t
-    rng = random.Random(args.seed)
+    rng = random.Random(_int_field(args.seed, "--seed"))
     # (suite name, presentation, exception raised or None for a mismatch)
     failures: list[tuple[str, I1Presentation, Optional[Exception]]] = []
 
@@ -374,7 +378,6 @@ def cmd_verify(args) -> int:
         return (cert.verdict == "InfiniteOrder" and cert.moth == oracle
                 and subs_inv_equal(oracle))
 
-    s = args.samples
     suite("oracle equivalence", s, lambda: random_presentation(rng), oracle_check)
     suite("eta admissibility", s, lambda: random_presentation(rng), admissible_check)
     suite("reversal identity", s, lambda: random_presentation(rng), reversal_check)
@@ -401,16 +404,11 @@ def cmd_verify(args) -> int:
 def cmd_oracle_eta(args) -> int:
     from .oracles import (build_strip, eta_from_strip, label_strip, parse_strip,
                           print_strip, strip_census)
-    try:
-        if args.strip:
-            with open(args.strip) as fh:
-                diagram = parse_strip(fh.read())
-        else:
-            diagram = build_strip(within_budget(parse_i1(args.i1)))
-        labeled = label_strip(diagram)
-    except (DomainError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.strip:
+        diagram = parse_strip(_read_text(args.strip))
+    else:
+        diagram = build_strip(within_budget(parse_i1(args.i1)))
+    labeled = label_strip(diagram)
     print(print_strip(diagram), end="")
     print("labels:")
     for arc in diagram.arcs:
@@ -423,15 +421,17 @@ def cmd_oracle_eta(args) -> int:
     return 0
 
 
-def _integer(text: str) -> int:
-    """An integer option, in the one grammar of `rationals._int_field`."""
-    try:
-        return _int_field(text, "value")
-    except DomainError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _read_text(path: str) -> str:
+    with open(path) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(str(exc)) from None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command: exit 2 on `DomainError` or `OSError` and 3 on
+    `InvariantViolation`, with one `error:` line, or 141 on a closed pipe."""
     parser = argparse.ArgumentParser(
         prog="equibridge",
         description="Equivariant concordance invariants of 2-bridge knots",
@@ -447,15 +447,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     pa.set_defaults(func=cmd_analyze)
 
     pt = sub.add_parser("table", help="one record per Schubert class")
-    pt.add_argument("--max-p", type=_integer, required=True)
+    pt.add_argument("--max-p", required=True)
     pt.add_argument("--out", help="output path (default stdout)")
     pt.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    pt.add_argument("--parallel", type=_integer, default=1)
+    pt.add_argument("--parallel", default="1")
     pt.set_defaults(func=cmd_table)
 
     pv = sub.add_parser("verify", help="run the randomized cross-check suites")
-    pv.add_argument("--samples", type=_integer, default=100)
-    pv.add_argument("--seed", type=_integer, default=0)
+    pv.add_argument("--samples", default="100")
+    pv.add_argument("--seed", default="0")
     pv.set_defaults(func=cmd_verify)
 
     po = sub.add_parser("oracle", help="oracle subcommands")
@@ -468,16 +468,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a write that fails does so here, not at exit
+        return code
     except InvariantViolation as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 3
-    except BrokenPipeError:
-        # The reader closed stdout (`| head`): quiet the interpreter's last flush.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 141  # 128 + SIGPIPE, the code of a process that SIGPIPE ends
+    except OSError as exc:
+        try:  # quiet the interpreter's last flush if stdout still cannot take it
+            sys.stdout.flush()
+        except OSError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            return 141  # 128 + SIGPIPE, the code of a process that SIGPIPE ends
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 from .laurent import DomainError, Frozen, InvariantViolation, typed_equality
-from .rationals import (MAX_CF_ENTRIES, EvenCF, Frac, _int_field, eval_cf, even_cf,
+from .rationals import (MAX_CF_ENTRIES, Frac, _int_field, eval_cf, even_cf,
                         two_bridge_equiv)
 
 
@@ -109,7 +109,6 @@ class InversionPair(NamedTuple):
     inv1: I1Presentation
     inv2: Optional[I1Presentation]
     source: Frac
-    expansion: EvenCF
 
 
 def presentation_from_cf(entries: Sequence[int]) -> I1Presentation:
@@ -131,9 +130,9 @@ def inversions_from_fraction(p: int, q: int) -> InversionPair:
     knot admits a single strong inversion and inv2 is omitted.
     """
     src = Frac.make(p, q)
-    ecf = even_cf(src)
-    inv1 = presentation_from_cf(ecf.entries)
-    rev = [-e for e in reversed(ecf.entries)]
+    entries = even_cf(src)
+    inv1 = presentation_from_cf(entries)
+    rev = [-e for e in reversed(entries)]
     inv2: Optional[I1Presentation] = presentation_from_cf(rev)
     if inv2.alphas == inv1.alphas and inv2.cs == inv1.cs:
         inv2 = None
@@ -142,4 +141,4 @@ def inversions_from_fraction(p: int, q: int) -> InversionPair:
         pp, qq = kf.positive_numerator()
         if not two_bridge_equiv(pp, qq, p, q):
             raise InvariantViolation(f"builder produced a wrong knot: {inv} -> {kf}")
-    return InversionPair(inv1, inv2, src, ecf)
+    return InversionPair(inv1, inv2, src)

@@ -108,19 +108,6 @@ def cf_parse(text: str) -> list[int]:
             for i, tok in enumerate(body.split(","), start=1)]
 
 
-@typed_equality
-class EvenCF(NamedTuple):
-    """An all-even continued fraction expansion of p/q_even.
-
-    q_even is the unique even representative of q mod p in (-|p|, |p|); the
-    expansion evaluates to p/q_even exactly.
-    """
-
-    entries: tuple[int, ...]
-    p: int
-    q_even: int
-
-
 def _even_denominator(p: int, q: int) -> int:
     """The unique even r with r = q (mod p) and |r| < |p| (p odd)."""
     m = abs(p)
@@ -139,13 +126,14 @@ def _nearest_even(p: int, q: int) -> int:
     return lo if abs(p - lo * q) < abs(p - (lo + 2) * q) else lo + 2
 
 
-def even_cf(f: Frac) -> EvenCF:
-    """Expand p/q into an even-length, all-even continued fraction.
+def even_cf(f: Frac) -> tuple[int, ...]:
+    """The even-length, all-even continued fraction entries of p/q_even.
 
     Precondition: p odd, |p| >= 3, gcd(p, q) = 1.  The denominator is first
-    normalized to the even representative with |q| < |p|; each step takes the
-    nearest even integer and recurses on the reciprocal remainder, up to
-    MAX_CF_ENTRIES entries: the entry past them raises a DomainError.
+    normalized to q_even, the even representative with |q| < |p|
+    (`_even_denominator`); each step takes the nearest even integer and
+    recurses on the reciprocal remainder, up to MAX_CF_ENTRIES entries: the
+    entry past them raises a DomainError.
     """
     p, q = f.p, f.q
     if q == 0:
@@ -166,7 +154,7 @@ def even_cf(f: Frac) -> EvenCF:
         a, b = b, a - e * b
     if eval_cf(entries) != Frac.make(p, q0):
         raise InvariantViolation(f"even_cf round-trip failed for {p}/{q}")
-    return EvenCF(tuple(entries), p, q0)
+    return tuple(entries)
 
 
 def normalize_class(p: int, q: int) -> tuple[int, int]:

@@ -384,6 +384,33 @@ def test_the_crossing_budget_admits_the_largest_class_up_to_p_1001():
         cli.within_budget(over)
 
 
+def test_a_table_past_the_crossing_budget_exits_2_before_listing_a_class():
+    """--max-p 30000 would list 3.4 * 10^7 classes, past a 1 GB cap, before
+    reaching the first one over the budget; the table checks its largest
+    class by a closed form first."""
+    proc = _capped_run(("table", "--max-p", "30000"), 1 << 30, 60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: --max-p 30000: class 29999/29998 has 89994 butterfly crossings, "
+        "over the limit of 3000"]
+
+
+def test_the_table_budget_checks_the_class_of_most_crossings():
+    """(p, p - 1) is listed last for the largest odd p; its one inversion
+    has 3(p - 1) butterfly crossings, so the budget admits exactly the
+    tables with --max-p <= 1002."""
+    for max_p, top in ((9, 9), (10, 9), (45, 45)):
+        assert schubert_classes(max_p)[-1] == (top, top - 1)
+    for p in range(3, 1004, 2):
+        pair = inversions_from_fraction(p, p - 1)
+        assert pair.inv2 is None
+        assert sum(map(abs, pair.inv1.butterfly_cf())) == 3 * (p - 1)
+    cli.table_within_budget(1001)
+    cli.table_within_budget(1002)
+    with pytest.raises(DomainError, match="^--max-p 1003: class 1003/1002 has 3006 "):
+        cli.table_within_budget(1003)
+
+
 @pytest.mark.parametrize("argv", [
     ["table", "--max-p", "\u0669"],
     ["table", "--max-p", "9", "--parallel", "\u0662"],
@@ -391,12 +418,10 @@ def test_the_crossing_budget_admits_the_largest_class_up_to_p_1001():
     ["verify", "--seed", "\u0663"],
 ])
 def test_integer_options_take_ascii_digits_only(capsys, argv):
-    with pytest.raises(SystemExit) as exited:
-        cli.main(argv)
-    assert exited.value.code == 2
+    assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"value is not an integer: {argv[-1]!r}" in captured.err
+    assert captured.err == f"error: {argv[-2]} is not an integer: {argv[-1]!r}\n"
 
 
 def test_verify_lists_every_failure_with_its_exception(monkeypatch, capsys):
@@ -539,6 +564,51 @@ def test_table_into_a_closed_pipe_exits_141_without_a_traceback():
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
     try:
         assert json.loads(proc.stdout.readline())["p"] == 3
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 141 and err == b""
+
+
+def _child_env(buffered):
+    """CHILD_ENV with stdout block-buffered, Python's default, or unbuffered."""
+    env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+    return env if buffered else {**env, "PYTHONUNBUFFERED": "1"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("args, to_stdout", [
+    (("analyze", "--fraction", "17/12"), True),
+    (("analyze", "--fraction", "3/2", "--format", "json"), True),
+    (("table", "--max-p", "45"), True),
+    (("table", "--max-p", "9", "--out", "/dev/full"), False),
+    (("verify", "--samples", "10"), True),
+    (("oracle", "eta", "--i1", "2;1"), True),
+])
+def test_output_that_cannot_be_written_exits_2_with_one_line(args, to_stdout, buffered):
+    """/dev/full refuses every write: each command reports it as one
+    `error:` line, with no traceback from the write or the last flush."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "equibridge.cli", *args],
+            stdout=full if to_stdout else subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, env=_child_env(buffered), timeout=120)
+    assert proc.returncode == 2 and proc.stdout in (None, "")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [Errno 28] ")
+
+
+def test_buffered_report_into_a_closed_pipe_exits_141_without_a_traceback():
+    """A short report stays in stdout's buffer until `main` flushes it, after
+    the reader has gone: the flush fails inside `main`, not at exit."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "equibridge.cli", "analyze", "--fraction", "3/2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(True))
+    try:
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
     finally:
@@ -695,6 +765,36 @@ def test_oracle_eta_strip_that_does_not_parse(tmp_path, capsys, text, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("missing", "[Errno 2] No such file or directory: '{path}'"),
+    ("directory", "[Errno 21] Is a directory: '{path}'"),
+    ("binary", "codec can't decode byte 0xff"),
+])
+def test_oracle_eta_strip_that_cannot_be_read(tmp_path, capsys, kind, message):
+    path = tmp_path / "s.strip"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "binary":
+        path.write_bytes(b"\xff\xfeslots 1\n")
+    assert cli.main(["oracle", "eta", "--strip", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message.format(path=path) in lines[0]
+
+
+def test_a_strip_file_that_cannot_be_opened_leaves_stdout_open(tmp_path):
+    """Only a stdout that cannot be flushed is pointed at devnull: a caller
+    of `main` in its own process keeps its stdout after other errors."""
+    code = ("import equibridge.cli as c; "
+            "assert c.main(['oracle', 'eta', '--strip', 'missing.strip']) == 2; "
+            "print('still open')")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=CHILD_ENV, cwd=tmp_path)
+    assert proc.returncode == 0 and proc.stdout == "still open\n"
 
 
 @pytest.mark.parametrize("args", [(), ("--i1", "2;1", "--strip", "s.strip")])

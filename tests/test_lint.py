@@ -23,6 +23,10 @@ certificates are values, and the report is written in one place.
 Outside text has one integer grammar, `rationals._int_field`: no other
 function calls the builtin `int`, and no option is parsed with `type=int`.
 
+Exit codes are decided in one place, `cli.main`: no other function of `cli`
+writes an `error:` line or returns 2; the commands raise instead.  `verify`
+returns its own result, 1 or 3.
+
 A record keeps only what something reads: every `__slots__` name is read
 as an attribute somewhere in the package outside its class's `__init__`.
 
@@ -113,6 +117,43 @@ def test_int_parses_catches_each_kind():
     assert int_parses("def f(t):\n    return int(t)\n") == ["2: int() in f"]
     assert int_parses("x = int('1')") == ["1: int() in None"]
     assert int_parses("p.add_argument('--n', type=int, default=1)") == ["1: type=int"]
+
+
+def exit_decisions(source: str) -> list[str]:
+    """One line per `return 2` and per string that starts with `error:`
+    in a top-level function of `source` other than `main`, or in a function
+    nested in one."""
+    found = []
+    for function in ast.parse(source).body:
+        if not isinstance(function, ast.FunctionDef) or function.name == "main":
+            continue
+        for node in ast.walk(function):
+            if (isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+                    and node.value.value == 2):
+                found.append((node.lineno, f"return 2 in {function.name}"))
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node.value.startswith("error:")):
+                found.append((node.lineno, f"error line in {function.name}"))
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_only_cli_main_decides_an_exit_code():
+    source = (Path(equibridge.__file__).parent / "cli.py").read_text()
+    assert "def main(" in source and "def cmd_verify(" in source
+    assert exit_decisions(source) == []
+
+
+def test_exit_decisions_catches_each_kind():
+    allowed = ("def main():\n    print('error: x')\n    return 2\n"
+               "def cmd_verify():\n    return 3 if x else 1\n"
+               "def f():\n    raise DomainError('--n must be at least 1')\n")
+    assert exit_decisions(allowed) == []
+    assert exit_decisions("def f():\n    print(f'error: {x}')\n    return 2\n") == [
+        "2: error line in f", "3: return 2 in f"]
+    assert exit_decisions("def f():\n    def g():\n        return 2\n") == [
+        "3: return 2 in f"]
+    assert exit_decisions("def f():\n    sys.stderr.write('error: x')\n") == [
+        "2: error line in f"]
 
 
 def imported_modules(source: str, package: str) -> set[str]:

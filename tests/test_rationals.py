@@ -46,11 +46,11 @@ def test_eval_cf_projective_points():
 
 
 def test_even_cf_examples():
-    assert even_cf(Frac.make(5, 2)).entries == (2, 2)
-    assert even_cf(Frac.make(3, 2)).entries == (2, -2)
-    e = even_cf(Frac.make(3, 1))
-    assert e.q_even == -2 and e.entries == (-2, 2)
-    assert eval_cf(e.entries) == Frac.make(3, -2)
+    assert even_cf(Frac.make(5, 2)) == (2, 2)
+    assert even_cf(Frac.make(3, 2)) == (2, -2)
+    entries = even_cf(Frac.make(3, 1))
+    assert rationals._even_denominator(3, 1) == -2 and entries == (-2, 2)
+    assert eval_cf(entries) == Frac.make(3, -2)
 
 
 def test_even_cf_rejects_links_and_degenerate():
@@ -65,11 +65,12 @@ def test_even_cf_round_trip_exhaustive():
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
-            e = even_cf(Frac.make(p, q))
-            assert all(a != 0 and a % 2 == 0 for a in e.entries)
-            assert len(e.entries) % 2 == 0
-            assert (e.q_even - q) % p == 0 and abs(e.q_even) < p
-            assert eval_cf(e.entries) == Frac.make(p, e.q_even)
+            entries = even_cf(Frac.make(p, q))
+            q_even = rationals._even_denominator(p, q)
+            assert all(a != 0 and a % 2 == 0 for a in entries)
+            assert len(entries) % 2 == 0
+            assert (q_even - q) % p == 0 and abs(q_even) < p
+            assert eval_cf(entries) == Frac.make(p, q_even)
 
 
 def test_two_bridge_equiv_examples():
@@ -88,11 +89,11 @@ def test_reversal_identity_enumeration():
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
-            e = even_cf(Frac.make(p, q))
-            rev = eval_cf(list(reversed(e.entries)))
+            entries = even_cf(Frac.make(p, q))
+            rev = eval_cf(list(reversed(entries)))
             pr, qr = rev.positive_numerator()
             assert pr == p
-            assert (e.q_even * qr + 1) % p == 0
+            assert (rationals._even_denominator(p, q) * qr + 1) % p == 0
 
 
 def test_frac_parse_and_print():
@@ -144,8 +145,7 @@ def test_even_cf_length_bound():
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
-            e = even_cf(Frac.make(p, q))
-            assert len(e.entries) < p
+            assert len(even_cf(Frac.make(p, q))) < p
 
 
 def test_two_bridge_equiv_unknot_edge():
@@ -170,9 +170,9 @@ def test_even_cf_stops_at_the_first_entry_past_the_limit(monkeypatch):
 
 
 def test_even_cf_at_the_limit_and_at_p_1001():
-    assert len(even_cf(Frac.make(1001, 1000)).entries) == 1000
+    assert len(even_cf(Frac.make(1001, 1000))) == 1000
     # [2, -2] repeated n times is (2n + 1)/(2n)
-    assert len(even_cf(Frac.make(2001, 2000)).entries) == 2000
+    assert len(even_cf(Frac.make(2001, 2000))) == 2000
     with pytest.raises(DomainError):
         even_cf(Frac.make(2003, 2002))
 
