@@ -6,7 +6,7 @@ Every start imports this module.  A standard-library module that only one
 branch uses is imported in that branch: `concurrent.futures` by a `table`
 pool, `csv` by `table --format csv` and `random` by `verify`.  The package
 modules that `analyze` and `table` run are imported here; `oracles` only by
-`verify` and `oracle eta`, in their own bodies.
+`verify`, in its own body.
 """
 from __future__ import annotations
 
@@ -50,8 +50,8 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = 1
 # The most crossings, sum |butterfly_cf()|, of a butterfly link that
-# `analyze`, `table` or `oracle eta` takes on: the most of any class at
-# p <= 1001, reached at 1001/1000.
+# `analyze` or `table` takes on: the most of any class at p <= 1001,
+# reached at 1001/1000.
 MAX_CROSSINGS = 3000
 
 
@@ -401,37 +401,10 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_oracle_eta(args) -> int:
-    from .oracles import (build_strip, eta_from_strip, label_strip, parse_strip,
-                          print_strip, strip_census)
-    if args.strip:
-        diagram = parse_strip(_read_text(args.strip))
-    else:
-        diagram = build_strip(within_budget(parse_i1(args.i1)))
-    labeled = label_strip(diagram)
-    print(print_strip(diagram), end="")
-    print("labels:")
-    for arc in diagram.arcs:
-        role = f" ({arc.role})" if arc.role else ""
-        print(f"  arc {arc.ident}: label {labeled.labels[arc.ident]}{role}")
-    print("census (over, under, sign, d):")
-    for over, under, eps, d in strip_census(labeled):
-        print(f"  {over} {under} {'+' if eps > 0 else '-'}1 d={d}")
-    print(f"eta = {lp_to_str(eta_from_strip(labeled))}")
-    return 0
-
-
-def _read_text(path: str) -> str:
-    with open(path) as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise DomainError(str(exc)) from None
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command: exit 2 on `DomainError` or `OSError` and 3 on
-    `InvariantViolation`, with one `error:` line, or 141 on a closed pipe."""
+    `InvariantViolation`, with one `error:` line, or 141 on a closed pipe.
+    Every path releases stdout, so no exit code is lost to a last flush."""
     parser = argparse.ArgumentParser(
         prog="equibridge",
         description="Equivariant concordance invariants of 2-bridge knots",
@@ -458,14 +431,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     pv.add_argument("--seed", default="0")
     pv.set_defaults(func=cmd_verify)
 
-    po = sub.add_parser("oracle", help="oracle subcommands")
-    osub = po.add_subparsers(dest="oracle_command", required=True)
-    pe = osub.add_parser("eta", help="print the labeled strip census and eta")
-    source = pe.add_mutually_exclusive_group(required=True)
-    source.add_argument("--i1", help="presentation, e.g. 2;1")
-    source.add_argument("--strip", help="strip-code file to parse instead")
-    pe.set_defaults(func=cmd_oracle_eta)
-
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
@@ -474,20 +439,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvariantViolation as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        try:  # quiet the interpreter's last flush if stdout still cannot take it
-            sys.stdout.flush()
-        except OSError:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        if isinstance(exc, BrokenPipeError):
-            return 141  # 128 + SIGPIPE, the code of a process that SIGPIPE ends
+    except BrokenPipeError:
+        return 141  # 128 + SIGPIPE, the code of a process that SIGPIPE ends
+    except (OSError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    finally:
+        _release_stdout()
+
+
+def _release_stdout() -> None:
+    """Flush stdout, or point it at devnull if it cannot take what is left,
+    so that the interpreter's last flush has nothing to fail on."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 if __name__ == "__main__":

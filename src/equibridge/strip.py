@@ -13,10 +13,10 @@ A presentation's strip is encoded once, as the walk that builds it: O(n) run
 records, one per group of vertical arcs, one per box arc with its 2|c|
 crossings, and a few for the final return group.  `eta_oracle` walks the
 runs directly, at a cost linear in the twist pairs plus the degree of eta.
-`oracles.build_strip` expands the same runs into the full strip, arc by arc,
-which `oracle eta` prints and the tests label as the reference.  Since
-`eta_oracle` reads only validated presentations, a walk that does not close
-is an internal error (`InvariantViolation`), not bad input.
+The tests' `strip_oracle.build_strip` expands the same runs into the full
+strip, arc by arc, and labels it as the reference.  Since `eta_oracle`
+reads only validated presentations, a walk that does not close is an
+internal error (`InvariantViolation`), not bad input.
 
 This code path shares no arithmetic with the closed-form formula beyond the
 Laurent-polynomial ring itself, and imports nothing from `butterfly`.
@@ -30,8 +30,6 @@ from .presentations import I1Presentation
 
 TOP = "top"
 BOTTOM = "bottom"
-# Every crossing is between the rail (arc 1, label 0) and another arc.
-RAIL = 1
 
 
 def _vanishing_at_one(top: int, out: list[int]) -> TCoeffs:
@@ -89,7 +87,7 @@ def _walk_runs(pres: I1Presentation) -> list[tuple[str, int, str, int, int, int]
 def eta_oracle(pres: I1Presentation) -> TCoeffs:
     """eta of the presentation's strip, read off `_walk_runs` without
     expanding it; equal to `eta_from_strip(label_strip(build_strip(pres)))`
-    of `oracles`.
+    of the tests' expanded strip, `strip_oracle`.
 
     Every arc runs forward, so a crossing's sign is its listed sign and its
     d is the label of the arc that is not the rail.  Along a run the labels

@@ -189,18 +189,17 @@ def test_moth_import_leaves_the_geometry_out():
 
 
 def test_only_verify_loads_the_oracles():
-    """`analyze` and `table` leave `oracles` unloaded; `verify` and
-    `oracle eta`, the two commands that run an oracle, each load it."""
-    for command in ("['verify', '--samples', '10']", "['oracle', 'eta', '--i1', '2;1']"):
-        code = ("import sys, equibridge.cli as c; "
-                "assert c.main(['analyze', '--fraction', '17/12']) == 0; "
-                "assert c.main(['table', '--max-p', '9']) == 0; "
-                "before = 'equibridge.oracles' in sys.modules; "
-                f"assert c.main({command}) == 0; "
-                "print(before, 'equibridge.oracles' in sys.modules, file=sys.stderr)")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, env=CHILD_ENV)
-        assert proc.returncode == 0 and proc.stderr.splitlines()[-1] == "False True"
+    """`analyze` and `table` leave `oracles` unloaded; `verify`, the one
+    command that runs the moth's oracle route, loads it."""
+    code = ("import sys, equibridge.cli as c; "
+            "assert c.main(['analyze', '--fraction', '17/12']) == 0; "
+            "assert c.main(['table', '--max-p', '9']) == 0; "
+            "before = 'equibridge.oracles' in sys.modules; "
+            "assert c.main(['verify', '--samples', '10']) == 0; "
+            "print(before, 'equibridge.oracles' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0 and proc.stderr.splitlines()[-1] == "False True"
 
 
 def test_table_report_bytes_are_pinned(tmp_path):
@@ -357,7 +356,6 @@ def _capped_run(args, limit_bytes, timeout):
     (("analyze", "--i1=2;2000000000"), 4000000004),
     # inv1 of 1000000001/2 is I1(500000000;-1)
     (("analyze", "--fraction=1000000001/2"), 1000000002),
-    (("oracle", "eta", "--i1=2;2000000000"), 4000000004),
     # 3000 crossings, but its second inversion, I1(2996;1), has 5994: no
     # presentation is analyzed
     (("analyze", "--i1=2;1498"), 5994),
@@ -586,7 +584,6 @@ def _child_env(buffered):
     (("table", "--max-p", "45"), True),
     (("table", "--max-p", "9", "--out", "/dev/full"), False),
     (("verify", "--samples", "10"), True),
-    (("oracle", "eta", "--i1", "2;1"), True),
 ])
 def test_output_that_cannot_be_written_exits_2_with_one_line(args, to_stdout, buffered):
     """/dev/full refuses every write: each command reports it as one
@@ -712,96 +709,52 @@ def test_verify_validation():
     assert run_cli("verify", "--samples", "0")[0] == 2
 
 
-def test_oracle_eta_subcommand():
-    code, out, _ = run_cli("oracle", "eta", "--i1", "2;1")
-    assert code == 0
-    assert "eta = t^-1 - 2 + t" in out
-    assert "census" in out
-
-
-def test_oracle_eta_strip_file(tmp_path):
-    from equibridge.oracles import build_strip, print_strip
-    from equibridge.presentations import parse_i1
-
-    path = tmp_path / "s.strip"
-    path.write_text(print_strip(build_strip(parse_i1("4;1"))))
-    code, out, _ = run_cli("oracle", "eta", "--strip", str(path))
-    assert code == 0
-    assert "eta = t^-2 - 2 + t^2" in out
-
-
-@pytest.mark.parametrize("text, message", [
-    ("slots 1\narc 1 top:1 bottom:1\nstart 1 fwd\n",
-     "label walk closes with net shift -1"),
-    # the strip of I1(2;1) plus an arc that its closed walk never reaches
-    ("slots 5\n"
-     "arc 1 top:1 top:2 rail\narc 2 bottom:2 top:3 box_1_arc\n"
-     "arc 3 bottom:3 bottom:4 final_return\narc 4 top:4 bottom:1 final_vertical\n"
-     "arc 5 top:5 bottom:5\n"
-     "cross 2 1 +1\ncross 2 1 +1\ncross 1 2 +1\ncross 4 1 -1\nstart 1 fwd\n",
-     "label walk does not visit every arc"),
-])
-def test_oracle_eta_strip_whose_label_walk_fails(tmp_path, capsys, text, message):
-    path = tmp_path / "s.strip"
-    path.write_text(text)
-    assert cli.main(["oracle", "eta", "--strip", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
-
-
-@pytest.mark.parametrize("text, message", [
-    # integers are ASCII [+-]?[0-9]+, as in every other field
-    ("slots \u0664\n", "line 1: malformed 'slots' line"),
-    ("slots 4\narc 1_0 top:1 top:2\n", "line 2: malformed 'arc' line"),
-    ("slots 4\narc 1 top:\u0661 top:2\n", "line 2: bad slot '\u0661'"),
-    ("slots 4\ncross 1 2\n", "line 2: malformed 'cross' line"),
-    ("slots 4\nstart 1 sideways\n", "line 2: direction must be fwd or rev"),
-])
-def test_oracle_eta_strip_that_does_not_parse(tmp_path, capsys, text, message):
-    path = tmp_path / "s.strip"
-    path.write_text(text)
-    assert cli.main(["oracle", "eta", "--strip", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
-
-
-@pytest.mark.parametrize("kind, message", [
-    ("missing", "[Errno 2] No such file or directory: '{path}'"),
-    ("directory", "[Errno 21] Is a directory: '{path}'"),
-    ("binary", "codec can't decode byte 0xff"),
-])
-def test_oracle_eta_strip_that_cannot_be_read(tmp_path, capsys, kind, message):
-    path = tmp_path / "s.strip"
-    if kind == "directory":
-        path.mkdir()
-    elif kind == "binary":
-        path.write_bytes(b"\xff\xfeslots 1\n")
-    assert cli.main(["oracle", "eta", "--strip", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert message.format(path=path) in lines[0]
-
-
-def test_a_strip_file_that_cannot_be_opened_leaves_stdout_open(tmp_path):
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_an_out_file_that_cannot_be_written_leaves_stdout_open():
     """Only a stdout that cannot be flushed is pointed at devnull: a caller
     of `main` in its own process keeps its stdout after other errors."""
     code = ("import equibridge.cli as c; "
-            "assert c.main(['oracle', 'eta', '--strip', 'missing.strip']) == 2; "
+            "assert c.main(['table', '--max-p', '9', '--out', '/dev/full']) == 2; "
             "print('still open')")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=CHILD_ENV, cwd=tmp_path)
+                          text=True, env=CHILD_ENV)
     assert proc.returncode == 0 and proc.stdout == "still open\n"
+    assert proc.stderr.startswith("error: [Errno 28] ")
 
 
-@pytest.mark.parametrize("args", [(), ("--i1", "2;1", "--strip", "s.strip")])
-def test_oracle_eta_needs_exactly_one_source(args):
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("error, code", [("InvariantViolation", 3), ("DomainError", 2)])
+def test_a_failing_class_with_stdout_unwritable_exits_with_its_own_code(error, code):
+    """The records before a failing class stay in stdout's buffer, which
+    /dev/full refuses: the class's one `error:` line and exit code stand,
+    with nothing from the interpreter's last flush."""
+    program = (
+        "import sys, equibridge.cli as c\n"
+        f"from equibridge.laurent import {error}\n"
+        "real, calls = c.analyze_presentation, []\n"
+        "def planted(pres):\n"
+        "    calls.append(pres)\n"
+        "    if len(calls) == 2:\n"
+        f"        raise {error}('planted')\n"
+        "    return real(pres)\n"
+        "c.analyze_presentation = planted\n"
+        "sys.exit(c.main(['table', '--max-p', '9']))\n")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-c", program], stdout=full,
+                              stderr=subprocess.PIPE, text=True,
+                              env=_child_env(buffered=True), timeout=120)
+    assert proc.returncode == code
+    assert "Exception ignored" not in proc.stderr and "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert lines[0].endswith("planted")
+
+
+@pytest.mark.parametrize("args", [(), ("--i1", "2;1")])
+def test_the_oracle_command_is_gone(args):
     code, out, err = run_cli("oracle", "eta", *args)
     assert code == 2 and out == ""
-    assert "usage:" in err and "Traceback" not in err
+    assert "invalid choice: 'oracle'" in err and "Traceback" not in err
 
 
 def test_reports_recompute_per_inversion():

@@ -2,10 +2,13 @@
 
 No floating point anywhere: every quantity is an integer or an exact
 fraction of integers, so the source may not divide with `/`, write a float
-literal, or name `float`, `Fraction` or `Decimal`.
+literal, or name `float`, `Fraction` or `Decimal`.  The expanded strip,
+`tests/strip_oracle.py`, is held to the same rule.
 
 The strip oracle and the closed formula are two routes to the butterfly
-polynomial, so `strip` imports nothing from `butterfly`.  Likewise the
+polynomial, so `strip` imports nothing from `butterfly`, and the expanded
+strip that the tests check `strip` against, `tests/strip_oracle.py`,
+imports nothing from `butterfly`, `moth` or `oracles`.  Likewise the
 geometric route (`diagrams`, `seifert`) loads none of the arithmetic it
 checks, directly or through another module: its package-internal import
 closure is `laurent`, `presentations` and `rationals`, which hold the
@@ -13,8 +16,8 @@ presentations and their fractions but no Conway polynomial, since those are
 computed in `moth`.
 
 `oracles` sits behind a boundary from both sides: no module of the
-arithmetic path loads it, and it loads neither `butterfly` nor `moth`,
-whose results it checks.
+arithmetic path loads it, and it loads only `laurent`, so neither
+`butterfly` nor `moth`, whose results it checks.
 
 Only `cli` renders: no other package module imports the renderers
 `lp_to_str` and `zp_to_str`, except `laurent`, which defines them.  The
@@ -40,6 +43,7 @@ from pathlib import Path
 
 import equibridge
 
+STRIP_ORACLE = Path(__file__).resolve().parent / "strip_oracle.py"
 BANNED_NAMES = {"float", "Fraction", "Decimal"}
 
 
@@ -63,8 +67,8 @@ def float_uses(source: str) -> list[str]:
 
 
 def test_package_source_has_no_floating_point():
-    files = sorted(Path(equibridge.__file__).parent.rglob("*.py"))
-    assert len(files) >= 10 and "oracles.py" in {path.name for path in files}
+    files = sorted(Path(equibridge.__file__).parent.rglob("*.py")) + [STRIP_ORACLE]
+    assert len(files) >= 11 and "oracles.py" in {path.name for path in files}
     found = [f"{path.name}:{use}" for path in files
              for use in float_uses(path.read_text())]
     assert found == []
@@ -223,9 +227,15 @@ def test_the_arithmetic_path_loads_no_oracle():
 
 
 def test_oracles_import_nothing_they_check():
-    closure = import_closure(["oracles"])
+    assert import_closure(["oracles"]) == {"equibridge.oracles", "equibridge.laurent"}
+
+
+def test_the_expanded_strip_imports_nothing_it_checks():
+    imported = imported_modules(STRIP_ORACLE.read_text(), "equibridge")
+    closure = import_closure([module.removeprefix("equibridge.") for module in imported])
     assert "equibridge.strip" in closure
-    assert closure & {"equibridge.butterfly", "equibridge.moth"} == set()
+    assert closure & {f"equibridge.{name}" for name in
+                      ("butterfly", "moth", "oracles")} == set()
 
 
 def test_imported_modules_resolves_each_form():

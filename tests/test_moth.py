@@ -2,6 +2,8 @@ import hashlib
 import json
 import random
 import time
+from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -331,6 +333,8 @@ def test_certificates_up_to_p_201_are_pinned():
         for pres in (pair.inv1, pair.inv2):
             if pres is not None:
                 cert = order_certificate(pres)
+                # the lemma of README "Every certificate has a witness"
+                assert gcd(p, cert.determinant_lhat) == 1
                 order = {"verdict": cert.verdict,
                          "conway_lhat": zp_to_str(cert.conway_lhat),
                          "det_lhat": cert.determinant_lhat,
@@ -350,3 +354,94 @@ def test_canonical_moths_up_to_p_45_are_distinct():
     moths = [order_certificate(pres).moth for p, q in schubert_classes(45)
              for pres in inversions_from_fraction(p, q)[:2] if pres is not None]
     assert len(moths) == len(set(moths)) == 304
+
+
+VARIABLES = "hcwABCD"
+
+
+class Poly(dict):
+    """A test-local integer polynomial in `VARIABLES`: exponent tuple to
+    non-zero coefficient, with only the ring operations."""
+
+    @classmethod
+    def of(cls, x) -> "Poly":
+        """x itself, an integer constant, or a variable named by its letter."""
+        if isinstance(x, Poly):
+            return x
+        if isinstance(x, str):
+            return cls({tuple(int(v == x) for v in VARIABLES): 1})
+        return cls({(0,) * len(VARIABLES): x} if x else {})
+
+    def __add__(self, other):
+        out = dict(self)
+        for m, c in Poly.of(other).items():
+            out[m] = out.get(m, 0) + c
+        return Poly({m: c for m, c in out.items() if c})
+
+    def __neg__(self):
+        return Poly({m: -c for m, c in self.items()})
+
+    def __sub__(self, other):
+        return self + -Poly.of(other)
+
+    def __mul__(self, other):
+        out = Poly()
+        for m1, c1 in self.items():
+            for m2, c2 in Poly.of(other).items():
+                out += Poly({tuple(map(add, m1, m2)): c1 * c2})
+        return out
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _step(A, B, C, D, h, c, w):
+    """One pass of `conway_in_w`'s loop over the pair (2h, c)."""
+    B = B + h * A
+    A = A + c * w * B
+    D = D + h * w * C
+    C = C + c * D
+    return A, B, C, D
+
+
+def _times(m, n, w):
+    """[[a, zb], [zc, d]] times [[a', zb'], [zc', d']], each as (a, b, c, d)
+    with z^2 = w."""
+    (a1, b1, c1, d1), (a2, b2, c2, d2) = m, n
+    return (a1 * a2 + w * b1 * c2, a1 * b2 + b1 * d2,
+            c1 * a2 + d1 * c2, w * c1 * b2 + d1 * d2)
+
+
+def _in_w(coeffs, w):
+    """The polynomial sum coeffs[k] w^k."""
+    out, power = Poly(), Poly.of(1)
+    for k in coeffs:
+        out, power = out + k * power, power * w
+    return out
+
+
+def test_the_continuant_matrix_has_determinant_one_for_every_presentation():
+    """AD - wBC = 1 by induction on the twist pairs, so with L = (b/2)A - B
+    the Bezout identity A(D - (b/2)wC) + wCL = 1 holds for every input."""
+    h, c, w, A, B, C, D = map(Poly.of, VARIABLES)
+
+    def det(m):
+        return m[0] * m[3] - w * m[1] * m[2]
+
+    one = Poly.of(1)
+    step = (one + h * c * w, h, c, one)  # [[1 + hcw, hz], [cz, 1]]
+    assert det(step) == one
+    # One pair multiplies the matrix by the step, so AD - wBC is kept.
+    after = _step(A, B, C, D, h, c, w)
+    assert after == _times((A, B, C, D), step, w)
+    assert det(after) == det((A, B, C, D))
+    assert det((one, Poly(), Poly(), one)) == one  # no pairs: the identity
+    # L = (b/2)A - B, with h = b/2 here.
+    L = h * A - B
+    assert A * (D - h * w * C) + w * C * L == det((A, B, C, D))
+    # The transcribed step is the loop of `conway_in_w`.
+    for pres in map(parse_i1, ("2;1", "4,-2;3,1", "-6,2,8;-1,2,-3")):
+        state = (one, Poly(), Poly(), one)
+        for a, cc in zip(pres.alphas, pres.cs):
+            state = _step(*state, a // 2, cc, w)
+        assert state == tuple(_in_w(p, w) for p in moth.conway_in_w(pres)[:4]), pres
+

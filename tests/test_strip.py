@@ -9,7 +9,10 @@ from equibridge.butterfly import butterfly_polynomial
 from equibridge.cli import random_presentation
 from equibridge import strip
 from equibridge.laurent import InvariantViolation, lp_is_eta_admissible
-from equibridge.oracles import (
+from equibridge.presentations import I1Presentation, parse_i1
+from equibridge.strip import BOTTOM, TOP, eta_oracle
+
+from strip_oracle import (
     Arc,
     Crossing,
     Endpoint,
@@ -18,12 +21,9 @@ from equibridge.oracles import (
     build_strip,
     eta_from_strip,
     label_strip,
-    parse_strip,
     print_strip,
     strip_census,
 )
-from equibridge.presentations import I1Presentation, parse_i1
-from equibridge.strip import eta_oracle
 
 
 def test_build_counts_for_small_example():
@@ -198,21 +198,31 @@ def test_oracle_equivalence_500_seeded():
         assert lp_is_eta_admissible(eta)
 
 
-def test_round_trip_print_parse():
-    for text in ("2;1", "2,4;1,1", "2,-2;1,1", "-4,2,-6;3,-2,1"):
-        d = build_strip(parse_i1(text))
-        assert parse_strip(print_strip(d)) == d
+@pytest.mark.parametrize("slots, arc, crossings, message", [
+    (1, Arc(1, Endpoint(TOP, 1), Endpoint(TOP, 1)), (), "used twice"),
+    (1, Arc(1, Endpoint(TOP, 1), Endpoint(BOTTOM, 1)), (Crossing(1, 2, 1),),
+     "unknown arc"),
+    (2, Arc(1, Endpoint(TOP, 1), Endpoint(BOTTOM, 1)), (), "unused"),
+], ids=["used twice", "unknown arc", "unused"])
+def test_strip_diagram_validation(slots, arc, crossings, message):
+    with pytest.raises(StripError, match=message):
+        StripDiagram(slots, (arc,), crossings, 1, True)
 
 
-def test_parse_errors():
-    with pytest.raises(StripError, match="missing 'start'"):
-        parse_strip("slots 1\narc 1 top:1 bottom:1\n")
-    with pytest.raises(StripError, match="used twice"):
-        parse_strip("slots 1\narc 1 top:1 top:1\nstart 1 fwd\n")
-    with pytest.raises(StripError, match="unknown arc"):
-        parse_strip("slots 1\narc 1 top:1 bottom:1\ncross 1 2 +1\nstart 1 fwd\n")
-    with pytest.raises(StripError, match="unused"):
-        parse_strip("slots 2\narc 1 top:1 bottom:1\nstart 1 fwd\n")
+def test_label_walk_that_does_not_close_at_label_zero():
+    # one arc from the top edge to the bottom one re-enters itself one label down
+    d = StripDiagram(1, (Arc(1, Endpoint(TOP, 1), Endpoint(BOTTOM, 1)),), (), 1, True)
+    with pytest.raises(StripError, match="^label walk closes with net shift -1$"):
+        label_strip(d)
+
+
+def test_label_walk_that_misses_an_arc():
+    # the strip of I1(2;1) plus an arc that its closed walk never reaches
+    d = build_strip(parse_i1("2;1"))
+    assert d.slots == len(d.arcs) == 4
+    stray = Arc(5, Endpoint(TOP, 5), Endpoint(BOTTOM, 5))
+    with pytest.raises(StripError, match="^label walk does not visit every arc$"):
+        label_strip(StripDiagram(5, d.arcs + (stray,), d.crossings, d.start_arc, True))
 
 
 def test_orientation_flips_are_respected():
