@@ -1,0 +1,71 @@
+"""The Schubert table and its oracle results, built once per test session.
+
+Every table-wide test reads its inputs here instead of enumerating the
+table itself:
+
+- `classes(max_p)` maps each Schubert class (p, q) at p <= max_p, in table
+  order, to its inversions: inv1, then inv2 when there is one;
+- `inversions(max_p)` lists those inversions in the same order;
+- `certificates(max_p)` maps each of them to its `order_certificate`;
+- `surfaces(max_p)` maps each of them to its knot and butterfly plat
+  diagrams and their `SeifertData`.
+
+Each is built once, by `functools.cache`, from the package's functions
+unpatched, and each presentation's certificate and surfaces are computed
+once for every table that lists it.  Every caller then receives the same
+objects, so callers only read them: no test may change a returned dict,
+diagram or matrix, and no test may first call one of these inside a
+monkeypatch, or the cache would keep what the patched functions returned
+for the rest of the session.
+"""
+from __future__ import annotations
+
+from functools import cache
+from typing import NamedTuple
+
+from equibridge.diagrams import OrientedPD, build_knot_diagram, build_lhat_diagram
+from equibridge.moth import OrderCertificate, order_certificate
+from equibridge.presentations import I1Presentation, inversions_from_fraction
+from equibridge.rationals import schubert_classes
+from equibridge.seifert import SeifertData, seifert_matrix_data
+
+
+class Surfaces(NamedTuple):
+    """The plat diagrams of a presentation's knot and butterfly link, and
+    the Seifert data of each."""
+
+    knot_diagram: OrientedPD
+    lhat_diagram: OrientedPD
+    knot: SeifertData
+    lhat: SeifertData
+
+
+def surfaces_of(pres: I1Presentation) -> Surfaces:
+    """The knot's and the butterfly link's diagrams and Seifert data."""
+    knot, lhat = build_knot_diagram(pres), build_lhat_diagram(pres)
+    return Surfaces(knot, lhat, seifert_matrix_data(knot), seifert_matrix_data(lhat))
+
+
+_certificate = cache(order_certificate)
+_surfaces = cache(surfaces_of)
+
+
+@cache
+def classes(max_p: int) -> dict[tuple[int, int], tuple[I1Presentation, ...]]:
+    return {(p, q): tuple(filter(None, inversions_from_fraction(p, q)[:2]))
+            for p, q in schubert_classes(max_p)}
+
+
+@cache
+def inversions(max_p: int) -> tuple[I1Presentation, ...]:
+    return tuple(pres for pair in classes(max_p).values() for pres in pair)
+
+
+@cache
+def certificates(max_p: int) -> dict[I1Presentation, OrderCertificate]:
+    return {pres: _certificate(pres) for pres in inversions(max_p)}
+
+
+@cache
+def surfaces(max_p: int) -> dict[I1Presentation, Surfaces]:
+    return {pres: _surfaces(pres) for pres in inversions(max_p)}

@@ -14,18 +14,15 @@ from equibridge.butterfly import (
     equivariant_slice_obstruction,
     reduce_if_b_zero,
 )
-from equibridge.diagrams import build_knot_diagram, build_lhat_diagram, build_plat_diagram
+from equibridge.diagrams import build_plat_diagram
 from equibridge.laurent import TCoeffs, lp_is_eta_admissible
 from equibridge.moth import order_certificate
-from equibridge.presentations import (
-    I1Presentation,
-    inversions_from_fraction,
-    parse_i1,
-)
-from equibridge.rationals import eval_cf, schubert_classes
+from equibridge.presentations import I1Presentation, parse_i1
+from equibridge.rationals import eval_cf
 from equibridge.seifert import determinant, seifert_matrix_data
 from equibridge.strip import eta_oracle
 
+import tables
 from notation import zp_parse
 from seifert_conway import conway_polynomial
 from skein_oracle import skein_conway
@@ -35,16 +32,6 @@ MAX_P = 45
 
 def _passline(n, text):
     print(f"criterion {n}: PASS  ({text})")
-
-
-def _enumerated_presentations(max_p=MAX_P):
-    out = []
-    for p, q in schubert_classes(max_p):
-        pair = inversions_from_fraction(p, q)
-        out.append(pair.inv1)
-        if pair.inv2 is not None:
-            out.append(pair.inv2)
-    return out
 
 
 VANISHING_SEED = 20250808
@@ -91,7 +78,7 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_eta_admissibility():
     rng = random.Random(13579)
     checked = 0
-    for pres in _enumerated_presentations():
+    for pres in tables.inversions(MAX_P):
         assert lp_is_eta_admissible(butterfly_polynomial(pres))
         checked += 1
     for _ in range(500):
@@ -106,7 +93,7 @@ def test_criterion_4_eta_admissibility():
 def test_criterion_5_non_sliceness_totality():
     t0 = time.monotonic()
     count = 0
-    for pres in _enumerated_presentations():
+    for pres in tables.inversions(MAX_P):
         cert = equivariant_slice_obstruction(pres)
         assert cert.verdict == "NotEquivariantlySlice"
         assert len(cert.trace) <= 2  # reduction depth at most 1
@@ -121,7 +108,7 @@ def test_criterion_5_non_sliceness_totality():
 
 def test_criterion_6_reversal_identity():
     count = 0
-    for pres in _enumerated_presentations():
+    for pres in tables.inversions(MAX_P):
         kf = pres.knot_fraction
         p, q = kf.positive_numerator()
         rev_entries = []
@@ -139,11 +126,9 @@ def test_criterion_6_reversal_identity():
 def test_criterion_7_determinant_cross_check():
     t0 = time.monotonic()
     count = 0
-    for pres in _enumerated_presentations():
-        knot = seifert_matrix_data(build_knot_diagram(pres))
-        lhat = seifert_matrix_data(build_lhat_diagram(pres))
-        assert determinant(knot) == abs(pres.knot_fraction.p)
-        assert determinant(lhat) == abs(pres.butterfly_fraction.p)
+    for pres, surface in tables.surfaces(MAX_P).items():
+        assert determinant(surface.knot) == abs(pres.knot_fraction.p)
+        assert determinant(surface.lhat) == abs(pres.butterfly_fraction.p)
         count += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
@@ -153,8 +138,7 @@ def test_criterion_7_determinant_cross_check():
 
 def test_criterion_8_infinite_order():
     count = 0
-    for pres in _enumerated_presentations():
-        cert = order_certificate(pres)
+    for pres, cert in tables.certificates(MAX_P).items():
         assert cert.verdict == "InfiniteOrder", pres
         count += 1
     for pres in _vanishing_family_instances():

@@ -15,10 +15,11 @@ from equibridge.butterfly import (
 )
 from equibridge.cli import analyze_presentation, random_presentation
 from equibridge.laurent import InvariantViolation, lp_is_eta_admissible
-from equibridge.moth import INFINITE_ORDER, order_certificate
-from equibridge.presentations import I1Presentation, inversions_from_fraction, parse_i1
-from equibridge.rationals import Frac, schubert_classes
+from equibridge.moth import INFINITE_ORDER
+from equibridge.presentations import I1Presentation, parse_i1
+from equibridge.rationals import Frac
 
+import tables
 from notation import lp_parse
 
 
@@ -100,14 +101,10 @@ def test_obstruction_reduced_witness():
 
 
 def test_obstruction_total_on_enumeration():
-    for p, q in schubert_classes(35):
-        pair = inversions_from_fraction(p, q)
-        for inv in (pair.inv1, pair.inv2):
-            if inv is None:
-                continue
-            cert = equivariant_slice_obstruction(inv)
-            assert cert.verdict == NOT_EQUIVARIANTLY_SLICE
-            assert len(cert.trace) <= 2
+    for inv in tables.inversions(35):
+        cert = equivariant_slice_obstruction(inv)
+        assert cert.verdict == NOT_EQUIVARIANTLY_SLICE
+        assert len(cert.trace) <= 2
 
 
 def test_certificate_requires_nonzero_witness():
@@ -136,11 +133,8 @@ def test_nullity_reversal_check_runs_everywhere():
 def test_both_routes_certify_every_inversion_up_to_p_201():
     """Non-sliceness by the axis-linking witness, and infinite order (so
     not slice either) by the continuants, each on all 6161 inversions."""
-    count = 0
-    for p, q in schubert_classes(201):
-        for pres in inversions_from_fraction(p, q)[:2]:
-            if pres is not None:
-                assert equivariant_slice_obstruction(pres).verdict == NOT_EQUIVARIANTLY_SLICE
-                assert order_certificate(pres).verdict == INFINITE_ORDER
-                count += 1
-    assert count == 6161
+    certificates = tables.certificates(201)
+    for pres, cert in certificates.items():
+        assert equivariant_slice_obstruction(pres).verdict == NOT_EQUIVARIANTLY_SLICE
+        assert cert.verdict == INFINITE_ORDER
+    assert len(certificates) == 6161

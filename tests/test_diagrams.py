@@ -14,10 +14,11 @@ from equibridge.diagrams import (
 )
 from equibridge.cli import random_presentation
 from equibridge.laurent import DomainError, InvariantViolation
-from equibridge.presentations import inversions_from_fraction, parse_i1
-from equibridge.rationals import eval_cf, schubert_classes
+from equibridge.presentations import parse_i1
+from equibridge.rationals import eval_cf
 from equibridge.seifert import determinant, seifert_circles, seifert_matrix_data
 
+import tables
 from seifert_conway import conway_polynomial
 
 
@@ -70,27 +71,25 @@ def test_band_coherent_orientation_from_either_flipped_component():
     number 0 and the same determinant and Conway polynomial, which unlike
     those two depends on the relative orientation."""
     count = 0
-    for p, q in schubert_classes(15):
-        for pres in filter(None, inversions_from_fraction(p, q)[:2]):
-            data = seifert_matrix_data(build_lhat_diagram(pres))
-            for component in (0, 1):
-                pd = build_plat_diagram(pres.butterfly_cf())
-                mu, ml = pd.final_marker
-                reverse_component(pd, component)
-                assert all(pd.direction[eid] == d for comp in pd.components
-                           for eid, d in comp)
-                assert _marker_flow(pd, mu) == _marker_flow(pd, ml)
-                with pytest.raises(InvariantViolation, match="run parallel"):
-                    _check_band_coherent(pd)
-                count += 1
+    for pres, surface in tables.surfaces(15).items():
+        for component in (0, 1):
             pd = build_plat_diagram(pres.butterfly_cf())
-            reverse_component(pd, 0)
-            reverse_component(pd, 1)
-            _check_band_coherent(pd)
-            assert linking_number(pd) == 0
-            reversed_data = seifert_matrix_data(pd)
-            assert determinant(reversed_data) == determinant(data)
-            assert conway_polynomial(reversed_data) == conway_polynomial(data)
+            mu, ml = pd.final_marker
+            reverse_component(pd, component)
+            assert all(pd.direction[eid] == d for comp in pd.components
+                       for eid, d in comp)
+            assert _marker_flow(pd, mu) == _marker_flow(pd, ml)
+            with pytest.raises(InvariantViolation, match="run parallel"):
+                _check_band_coherent(pd)
+            count += 1
+        pd = build_plat_diagram(pres.butterfly_cf())
+        reverse_component(pd, 0)
+        reverse_component(pd, 1)
+        _check_band_coherent(pd)
+        assert linking_number(pd) == 0
+        reversed_data = seifert_matrix_data(pd)
+        assert determinant(reversed_data) == determinant(surface.lhat)
+        assert conway_polynomial(reversed_data) == conway_polynomial(surface.lhat)
     assert count == 64
 
 
@@ -131,9 +130,10 @@ def test_every_edge_sits_in_exactly_two_crossing_slots():
     assert len(diagrams[0].edges) == 8
 
 
-def canonical_dump(pd) -> str:
-    """A diagram with its Seifert circles, bands and matrix as plain values,
-    slots by name, independent of how the package encodes them."""
+def canonical_dump(pd, data) -> str:
+    """A diagram with its Seifert circles, bands and matrix `data.matrix` as
+    plain values, slots by name, independent of how the package encodes
+    them."""
     def anchor(a):
         return (a // 4, ("nw", "ne", "se", "sw")[a % 4])
 
@@ -146,7 +146,7 @@ def canonical_dump(pd) -> str:
         pd.final_marker,
         [(c.points, c.ccw) for c in circles],
         [(b.sign, b.ends) for b in bands],
-        seifert_matrix_data(pd).matrix,
+        data.matrix,
     ))
 
 
@@ -156,14 +156,10 @@ def test_every_p45_diagram_circle_and_seifert_matrix_is_pinned():
     builder or circle tracer must leave every one of them identical."""
     digest = hashlib.sha256()
     count = 0
-    for p, q in schubert_classes(45):
-        pair = inversions_from_fraction(p, q)
-        for pres in (pair.inv1, pair.inv2):
-            if pres is None:
-                continue
-            for build in (build_knot_diagram, build_lhat_diagram):
-                digest.update(canonical_dump(build(pres)).encode() + b"\n")
-                count += 1
+    for knot, lhat, knot_data, lhat_data in tables.surfaces(45).values():
+        for pd, data in ((knot, knot_data), (lhat, lhat_data)):
+            digest.update(canonical_dump(pd, data).encode() + b"\n")
+            count += 1
     assert count == 608
     assert digest.hexdigest() == (
         "44a5aed743710b346e7e424835b70d39af01a3d13b1cb1718e90b7ec83a1770a")

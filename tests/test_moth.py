@@ -12,15 +12,11 @@ from equibridge import cli, moth
 from equibridge.laurent import InvariantViolation, lp_to_str, zp_to_str
 from equibridge.moth import INFINITE_ORDER, OrderCertificate, order_certificate
 from equibridge.oracles import _pmul, rf_make, subs_inv_equal, z_to_t
-from equibridge.presentations import (
-    I1Presentation,
-    inversions_from_fraction,
-    parse_i1,
-)
-from equibridge.rationals import schubert_classes
+from equibridge.presentations import I1Presentation, parse_i1
 from equibridge.butterfly import butterfly_polynomial
 from equibridge.cli import random_presentation
 
+import tables
 from notation import lp_parse, zp_parse
 
 
@@ -244,24 +240,19 @@ def _certified(pres):
     return moth.certified_moth(moth.conway_in_w(pres), pres.b)
 
 
-def _gcd_reduced(pres):
+def _gcd_reduced(cert):
     """The oracle: the same quotient through z_to_t and the Z[t] gcd, from
-    the report's polynomials in z."""
-    cert = order_certificate(pres)
+    the certificate's polynomials in z."""
     lhat = cert.conway_lhat
     assert lhat[0] == 0
     return rf_make(z_to_t(lhat[1:]), z_to_t(cert.conway_knot))
 
 
 def test_certified_moth_matches_the_gcd_reduction_up_to_p_101():
-    count = 0
-    for p, q in schubert_classes(101):
-        pair = inversions_from_fraction(p, q)
-        for pres in (pair.inv1, pair.inv2):
-            if pres is not None:
-                assert _certified(pres) == _gcd_reduced(pres), pres
-                count += 1
-    assert count == 1546
+    certificates = tables.certificates(101)
+    for pres, cert in certificates.items():
+        assert _certified(pres) == _gcd_reduced(cert), pres
+    assert len(certificates) == 1546
 
 
 long_twist_data = st.integers(1, 60).flatmap(lambda n: st.tuples(
@@ -274,7 +265,7 @@ long_twist_data = st.integers(1, 60).flatmap(lambda n: st.tuples(
 @given(long_twist_data)
 def test_certified_moth_matches_the_gcd_reduction(data):
     pres = I1Presentation(*map(tuple, data))
-    assert _certified(pres) == _gcd_reduced(pres)
+    assert _certified(pres) == _gcd_reduced(order_certificate(pres))
 
 
 @settings(max_examples=60, deadline=None)
@@ -300,17 +291,13 @@ def test_l_is_the_butterfly_continuant_up_to_p_201():
     """z L, with L = (b/2)A - B from `conway_in_w`, is the continuant of
     the butterfly's continued fraction e_0, ..., e_2n at
     x_i = -(-1)^i (e_i/2) z, on every inversion of the p <= 201 table."""
-    count = 0
-    for p, q in schubert_classes(201):
-        for pres in inversions_from_fraction(p, q)[:2]:
-            if pres is not None:
-                A, B, C, D, L = moth.conway_in_w(pres)
-                assert L == _sub([pres.b // 2 * x for x in A], B)
-                xs = [[0, -(-1)**i * (e // 2)]
-                      for i, e in enumerate(pres.butterfly_cf())]
-                assert list(moth._in_z(L, 1)) == _continuant(xs), pres
-                count += 1
-    assert count == 6161
+    presentations = tables.inversions(201)
+    for pres in presentations:
+        A, B, C, D, L = moth.conway_in_w(pres)
+        assert L == _sub([pres.b // 2 * x for x in A], B)
+        xs = [[0, -(-1)**i * (e // 2)] for i, e in enumerate(pres.butterfly_cf())]
+        assert list(moth._in_z(L, 1)) == _continuant(xs), pres
+    assert len(presentations) == 6161
 
 
 def test_certified_moth_of_200_pairs_is_fast():
@@ -327,32 +314,44 @@ def test_certificates_up_to_p_201_are_pinned():
     its certificate in one digest, recorded before the Conway polynomials
     moved from z to w."""
     digest = hashlib.sha256()
-    count = 0
-    for p, q in schubert_classes(201):
-        pair = inversions_from_fraction(p, q)
-        for pres in (pair.inv1, pair.inv2):
-            if pres is not None:
-                cert = order_certificate(pres)
-                # the lemma of README "Every certificate has a witness"
-                assert gcd(p, cert.determinant_lhat) == 1
-                order = {"verdict": cert.verdict,
-                         "conway_lhat": zp_to_str(cert.conway_lhat),
-                         "det_lhat": cert.determinant_lhat,
-                         "moth_num": lp_to_str(cert.moth.num),
-                         "moth_den": lp_to_str(cert.moth.den)}
-                line = json.dumps([str(pres), zp_to_str(cert.conway_knot), order],
-                                  sort_keys=True)
-                digest.update(f"{line}\n".encode())
-                count += 1
-    assert count == 6161
+    certificates = tables.certificates(201)
+    for pres, cert in certificates.items():
+        # the lemma of README "Every certificate has a witness"
+        assert gcd(pres.knot_fraction.p, cert.determinant_lhat) == 1
+        order = {"verdict": cert.verdict,
+                 "conway_lhat": zp_to_str(cert.conway_lhat),
+                 "det_lhat": cert.determinant_lhat,
+                 "moth_num": lp_to_str(cert.moth.num),
+                 "moth_den": lp_to_str(cert.moth.den)}
+        line = json.dumps([str(pres), zp_to_str(cert.conway_knot), order],
+                          sort_keys=True)
+        digest.update(f"{line}\n".encode())
+    assert len(certificates) == 6161
     assert digest.hexdigest() == (
         "a5f4835561675a0f13f8bea0e87565033c8a6b52522f6f55a41a6785714f6442")
 
 
+lemma_data = st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-100, 100).filter(bool).map(lambda h: 2 * h),
+             min_size=n, max_size=n),
+    st.lists(st.integers(-200, 200).filter(bool), min_size=n, max_size=n),
+))
+
+
+@settings(max_examples=50, deadline=None)
+@given(lemma_data)
+def test_every_certificate_has_a_witness_past_the_table(data):
+    """The lemma of README "Every certificate has a witness" beyond the
+    p <= 201 pin: det L-hat is |p''| > 0 and prime to the knot's p."""
+    pres = I1Presentation(*map(tuple, data))
+    cert = order_certificate(pres)
+    assert cert.determinant_lhat == abs(pres.butterfly_fraction.p) > 0
+    assert gcd(abs(pres.knot_fraction.p), cert.determinant_lhat) == 1
+
+
 def test_canonical_moths_up_to_p_45_are_distinct():
     """Every inversion at p <= 45 has its own canonical moth (num, den)."""
-    moths = [order_certificate(pres).moth for p, q in schubert_classes(45)
-             for pres in inversions_from_fraction(p, q)[:2] if pres is not None]
+    moths = [cert.moth for cert in tables.certificates(45).values()]
     assert len(moths) == len(set(moths)) == 304
 
 

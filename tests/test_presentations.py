@@ -14,9 +14,10 @@ from equibridge.presentations import (
     inversions_from_fraction,
     parse_i1,
 )
-from equibridge.rationals import Frac, schubert_classes, two_bridge_equiv
+from equibridge.rationals import Frac, two_bridge_equiv
 from equibridge.seifert import determinant, seifert_matrix_data
 
+import tables
 from notation import zp_parse
 from seifert_conway import conway_polynomial
 
@@ -229,22 +230,17 @@ def _continuant_conways(pres):
     return _in_z(A, 0), _in_z(L, 1)
 
 
-def _seifert_conways(pres):
+def _seifert_conways(surface):
     """The oracle: Conway polynomials of the knot and the butterfly link
     read off the Seifert matrices of their plat diagrams."""
-    return tuple(conway_polynomial(seifert_matrix_data(build(pres)))
-                 for build in (build_knot_diagram, build_lhat_diagram))
+    return conway_polynomial(surface.knot), conway_polynomial(surface.lhat)
 
 
 def test_conway_continuant_matches_the_seifert_oracle_up_to_p_45():
-    count = 0
-    for p, q in schubert_classes(45):
-        pair = inversions_from_fraction(p, q)
-        for pres in (pair.inv1, pair.inv2):
-            if pres is not None:
-                assert _continuant_conways(pres) == _seifert_conways(pres), pres
-                count += 1
-    assert count == 304
+    surfaces = tables.surfaces(45)
+    for pres, surface in surfaces.items():
+        assert _continuant_conways(pres) == _seifert_conways(surface), pres
+    assert len(surfaces) == 304
 
 
 twist_data = st.integers(1, 6).flatmap(lambda n: st.tuples(
@@ -258,7 +254,7 @@ twist_data = st.integers(1, 6).flatmap(lambda n: st.tuples(
 @given(twist_data)
 def test_conway_continuant_matches_the_seifert_oracle(data):
     pres = I1Presentation(*map(tuple, data))
-    assert _continuant_conways(pres) == _seifert_conways(pres)
+    assert _continuant_conways(pres) == _seifert_conways(tables.surfaces_of(pres))
 
 
 @settings(max_examples=25, deadline=None)

@@ -15,8 +15,6 @@ from equibridge.diagrams import (
     build_plat_diagram,
 )
 from equibridge.laurent import DomainError, InvariantViolation
-from equibridge.presentations import inversions_from_fraction
-from equibridge.rationals import schubert_classes
 from equibridge.seifert import (
     _bareiss_det,
     _fundamental_cycles,
@@ -24,6 +22,7 @@ from equibridge.seifert import (
     seifert_matrix_data,
 )
 
+import tables
 from notation import zp_parse
 from seifert_conway import conway_polynomial, interp_poly
 from skein_oracle import skein_conway
@@ -161,16 +160,13 @@ def test_seifert_invariants_do_not_depend_on_edge_order():
     reordered matrices hash to a recorded value."""
     digest = hashlib.sha256()
     count = 0
-    for p, q in schubert_classes(15):
-        for pres in filter(None, inversions_from_fraction(p, q)[:2]):
-            for build in (build_knot_diagram, build_lhat_diagram):
-                pd = build(pres)
-                data, reordered = (seifert_matrix_data(x)
-                                   for x in (pd, renumbered_in_reverse(pd)))
-                assert determinant(reordered) == determinant(data)
-                assert conway_polynomial(reordered) == conway_polynomial(data)
-                digest.update(repr(reordered.matrix).encode() + b"\n")
-                count += 1
+    for knot, lhat, knot_data, lhat_data in tables.surfaces(15).values():
+        for pd, data in ((knot, knot_data), (lhat, lhat_data)):
+            reordered = seifert_matrix_data(renumbered_in_reverse(pd))
+            assert determinant(reordered) == determinant(data)
+            assert conway_polynomial(reordered) == conway_polynomial(data)
+            digest.update(repr(reordered.matrix).encode() + b"\n")
+            count += 1
     assert count == 64
     assert digest.hexdigest() == (
         "985ba3a282fccf6f44d78f32d7f5859ead0dce1ca69d6e3a27e79c91dafdce23")
@@ -277,16 +273,11 @@ def test_zero_crossing_unknot_closure():
 def test_same_knot_same_conway_across_inversions():
     """The two inversion presentations give different diagrams of one knot,
     so the knot Conway polynomials and determinants must coincide."""
-    from equibridge.presentations import inversions_from_fraction
-    from equibridge.rationals import schubert_classes
-
-    for p, q in schubert_classes(21):
-        pair = inversions_from_fraction(p, q)
-        if pair.inv2 is None:
-            continue
-        n1 = conway_polynomial(seifert_matrix_data(build_knot_diagram(pair.inv1)))
-        n2 = conway_polynomial(seifert_matrix_data(build_knot_diagram(pair.inv2)))
-        assert n1 == n2, (p, q)
+    surfaces = tables.surfaces(21)
+    for (p, q), pair in tables.classes(21).items():
+        if len(pair) == 2:
+            n1, n2 = (conway_polynomial(surfaces[inv].knot) for inv in pair)
+            assert n1 == n2, (p, q)
 
 
 def test_knot_determinant_equals_conway_at_minus_one():

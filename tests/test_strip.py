@@ -4,6 +4,7 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equibridge.butterfly import butterfly_polynomial
 from equibridge.cli import random_presentation
@@ -12,6 +13,7 @@ from equibridge.laurent import InvariantViolation, lp_is_eta_admissible
 from equibridge.presentations import I1Presentation, parse_i1
 from equibridge.strip import BOTTOM, TOP, eta_oracle
 
+import tables
 from strip_oracle import (
     Arc,
     Crossing,
@@ -196,6 +198,32 @@ def test_oracle_equivalence_500_seeded():
         eta = eta_oracle(pres)
         assert eta == butterfly_polynomial(pres)
         assert lp_is_eta_admissible(eta)
+
+
+def test_oracle_equals_formula_up_to_p_201():
+    """The strip walk and the closed formula on every inversion at
+    p <= 201; the table pins compare them, through `analyze`, only up to
+    p <= 25."""
+    presentations = tables.inversions(201)
+    for pres in presentations:
+        assert eta_oracle(pres) == butterfly_polynomial(pres), pres
+    assert len(presentations) == 6161
+
+
+wide_twist_data = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-1000, 1000).filter(bool).map(lambda h: 2 * h),
+             min_size=n, max_size=n),
+    st.lists(st.integers(-10**6, 10**6).filter(bool), min_size=n, max_size=n),
+))
+
+
+@settings(deadline=None)
+@given(wide_twist_data)
+def test_oracle_equals_formula_on_wide_twist_regions(data):
+    """Up to 8 pairs with |alpha| <= 2000 and |c| <= 10^6: both routes cost
+    per twist region, not per crossing."""
+    pres = I1Presentation(*map(tuple, data))
+    assert eta_oracle(pres) == butterfly_polynomial(pres)
 
 
 @pytest.mark.parametrize("slots, arc, crossings, message", [
