@@ -121,43 +121,33 @@ def knot_report(
     i1: Optional[str] = None,
     timing: bool = False,
 ) -> dict:
-    if sum(x is not None for x in (fraction, cf, i1)) != 1:
+    """The report of one knot from exactly one of its fraction, its knot
+    continued fraction and a presentation, which must be inversion 1 (README
+    "Every presentation is its knot's first inversion").  Every inversion is
+    held to the crossing budget before any is analyzed, and analyzed once."""
+    inputs = [(kind, text) for kind, text in
+              (("fraction", fraction), ("cf", cf), ("i1", i1)) if text is not None]
+    if len(inputs) != 1:
         raise DomainError("exactly one of --fraction, --cf, --i1 is required")
     t0 = time.monotonic()
-    records: dict[I1Presentation, dict] = {}
-
-    def analyzed(pres: I1Presentation) -> dict:
-        if pres not in records:
-            records[pres] = analyze_presentation(pres)
-        return records[pres]
-
-    report: dict = {"schema_version": SCHEMA_VERSION}
-    given = None
-    if fraction is not None:
-        f = frac_parse(fraction)
-        report["input"] = {"kind": "fraction", "text": fraction}
-        pair = inversions_from_fraction(f.p, f.q)
+    [(kind, text)] = inputs
+    if kind == "fraction":
+        given, (p, q) = None, frac_parse(text)
     else:
-        given = (
-            presentation_from_cf(cf_parse(cf)) if cf is not None else parse_i1(i1)
-        )
-        report["input"] = {
-            "kind": "cf" if cf is not None else "i1",
-            "text": cf if cf is not None else i1,
-        }
+        given = presentation_from_cf(cf_parse(text)) if kind == "cf" else parse_i1(text)
         p, q = given.knot_fraction.positive_numerator()
-        pair = inversions_from_fraction(p, q)
-    # Every presentation is held to the budget before any is analyzed.
-    for pres in (given, pair.inv1, pair.inv2):
-        if pres is not None:
-            within_budget(pres)
+    pair = inversions_from_fraction(p, q)
+    if given is not None and given != pair.inv1:
+        raise InvariantViolation(f"{given} is not inversion 1, {pair.inv1}, of its knot")
+    inversions = [within_budget(pres) for pres in filter(None, pair[:2])]
+    records = [analyze_presentation(pres) for pres in inversions]
+    report: dict = {"schema_version": SCHEMA_VERSION,
+                    "input": {"kind": kind, "text": text}}
     if given is not None:
-        report["given"] = analyzed(given)
+        report["given"] = records[0]
     report["fraction"] = str(pair.source)
     report["even_cf"] = pair.inv1.knot_cf()
-    report["inversions"] = [analyzed(pair.inv1)]
-    if pair.inv2 is not None:
-        report["inversions"].append(analyzed(pair.inv2))
+    report["inversions"] = records
     if timing:
         report["elapsed_seconds"] = round(time.monotonic() - t0, 6)
     return report

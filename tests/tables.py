@@ -17,11 +17,16 @@ objects, so callers only read them: no test may change a returned dict,
 diagram or matrix, and no test may first call one of these inside a
 monkeypatch, or the cache would keep what the patched functions returned
 for the rest of the session.
+
+Hypothesis tests past the table draw their presentations from one
+strategy, `presentations(max_n, max_alpha, max_c)`.
 """
 from __future__ import annotations
 
 from functools import cache
 from typing import NamedTuple
+
+from hypothesis import strategies as st
 
 from equibridge.diagrams import OrientedPD, build_knot_diagram, build_lhat_diagram
 from equibridge.moth import OrderCertificate, order_certificate
@@ -69,3 +74,13 @@ def certificates(max_p: int) -> dict[I1Presentation, OrderCertificate]:
 @cache
 def surfaces(max_p: int) -> dict[I1Presentation, Surfaces]:
     return {pres: _surfaces(pres) for pres in inversions(max_p)}
+
+
+def presentations(max_n: int, max_alpha: int, max_c: int) -> st.SearchStrategy:
+    """Presentations of 1 to max_n twist pairs, each alpha even and non-zero
+    with |alpha| <= max_alpha, each c non-zero with |c| <= max_c."""
+    half = max_alpha // 2
+    alpha = st.integers(-half, half).filter(bool).map(lambda h: 2 * h)
+    c = st.integers(-max_c, max_c).filter(bool)
+    return st.integers(1, max_n).flatmap(lambda n: st.builds(
+        I1Presentation, st.tuples(*[alpha] * n), st.tuples(*[c] * n)))

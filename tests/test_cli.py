@@ -8,7 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from equibridge import cli, diagrams, moth, rationals, seifert, strip
 from equibridge.butterfly import (
@@ -167,6 +167,27 @@ def test_i1_input_equal_to_an_inversion_analyzed_once(monkeypatch):
     counts = Counter(str(pres) for (pres,) in analyzed)
     assert counts["I1(2,4;1,1)"] == 1
     assert set(counts.values()) == {1}
+
+
+@pytest.mark.parametrize("source", [
+    {"fraction": "17/12"}, {"cf": "[2,-2,4,-2]"}, {"i1": "2,2;2,1"},
+])
+def test_every_input_analyzes_each_inversion_once(monkeypatch, source):
+    analyzed = count_calls(monkeypatch, cli, "analyze_presentation")
+    report = knot_report(**source)
+    assert len(analyzed) == 2
+    assert [str(pres) for (pres,) in analyzed] == [r["i1"] for r in report["inversions"]]
+
+
+def test_a_given_presentation_that_is_not_inversion_1_exits_3(monkeypatch, capsys):
+    real = cli.inversions_from_fraction
+    monkeypatch.setattr(cli, "inversions_from_fraction",
+                        lambda p, q: real(p, q)._replace(inv1=I1Presentation((2,), (1,))))
+    assert cli.main(["analyze", "--i1=2,4;1,1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: internal check failed: "
+                            "I1(2,4;1,1) is not inversion 1, I1(2;1), of its knot\n")
 
 
 def test_fractions_evaluated_once_per_presentation(monkeypatch, capsys):
@@ -768,25 +789,17 @@ def test_analyze_byte_identical_across_runs():
     assert (a.returncode, a.stdout, a.stderr) == (b.returncode, b.stdout, b.stderr)
 
 
-mirror_data = st.integers(1, 5).flatmap(lambda n: st.tuples(
-    st.lists(st.integers(-6, 6).filter(bool).map(lambda h: 2 * h),
-             min_size=n, max_size=n),
-    st.lists(st.integers(-6, 6).filter(bool), min_size=n, max_size=n),
-))
-
-
 @settings(max_examples=40, deadline=None)
-@given(mirror_data)
-def test_mirror_presentation_negates_exactly_the_odd_invariants(data):
+@given(tables.presentations(5, 12, 6))
+def test_mirror_presentation_negates_exactly_the_odd_invariants(pres):
     """I1(-alpha; -c) presents the mirror knot with the mirrored inversion:
     its report negates the butterfly polynomial, both axis-linking numbers,
     the witness value, nabla(L-hat) and the moth numerator, and keeps
     nabla(K), both determinants, h1_order, the moth denominator and both
     verdicts."""
-    alphas, cs = data
-    given_ = analyze_presentation(I1Presentation(tuple(alphas), tuple(cs)))
-    mirror = analyze_presentation(I1Presentation(tuple(-a for a in alphas),
-                                                 tuple(-c for c in cs)))
+    given_ = analyze_presentation(pres)
+    mirror = analyze_presentation(I1Presentation(tuple(-a for a in pres.alphas),
+                                                 tuple(-c for c in pres.cs)))
 
     def negated_t(text):
         val, coefficients = lp_parse(text)

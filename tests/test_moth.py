@@ -255,23 +255,18 @@ def test_certified_moth_matches_the_gcd_reduction_up_to_p_101():
     assert len(certificates) == 1546
 
 
-long_twist_data = st.integers(1, 60).flatmap(lambda n: st.tuples(
-    st.lists(st.sampled_from([-6, -4, -2, 2, 4, 6]), min_size=n, max_size=n),
-    st.lists(st.integers(-3, 3).filter(bool), min_size=n, max_size=n),
-))
+long_twists = tables.presentations(60, 6, 3)
 
 
 @settings(max_examples=20, deadline=None)
-@given(long_twist_data)
-def test_certified_moth_matches_the_gcd_reduction(data):
-    pres = I1Presentation(*map(tuple, data))
+@given(long_twists)
+def test_certified_moth_matches_the_gcd_reduction(pres):
     assert _certified(pres) == _gcd_reduced(order_certificate(pres))
 
 
 @settings(max_examples=60, deadline=None)
-@given(long_twist_data, st.data())
-def test_the_one_point_check_agrees_with_the_list_products(twists, data):
-    pres = I1Presentation(*map(tuple, twists))
+@given(long_twists, st.data())
+def test_the_one_point_check_agrees_with_the_list_products(pres, data):
     conway = moth.conway_in_w(pres)
     assert _one_point(conway, pres.b) and _list_bezout(conway, pres.b)
     wrong = _corrupt(data.draw, conway)
@@ -331,19 +326,11 @@ def test_certificates_up_to_p_201_are_pinned():
         "a5f4835561675a0f13f8bea0e87565033c8a6b52522f6f55a41a6785714f6442")
 
 
-lemma_data = st.integers(1, 40).flatmap(lambda n: st.tuples(
-    st.lists(st.integers(-100, 100).filter(bool).map(lambda h: 2 * h),
-             min_size=n, max_size=n),
-    st.lists(st.integers(-200, 200).filter(bool), min_size=n, max_size=n),
-))
-
-
 @settings(max_examples=50, deadline=None)
-@given(lemma_data)
-def test_every_certificate_has_a_witness_past_the_table(data):
+@given(tables.presentations(40, 200, 200))
+def test_every_certificate_has_a_witness_past_the_table(pres):
     """The lemma of README "Every certificate has a witness" beyond the
     p <= 201 pin: det L-hat is |p''| > 0 and prime to the knot's p."""
-    pres = I1Presentation(*map(tuple, data))
     cert = order_certificate(pres)
     assert cert.determinant_lhat == abs(pres.butterfly_fraction.p) > 0
     assert gcd(abs(pres.knot_fraction.p), cert.determinant_lhat) == 1

@@ -3,7 +3,7 @@ import time
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from equibridge.butterfly import AxisLinkWitness, ReducedAxisLinkWitness
 from equibridge.diagrams import build_knot_diagram, build_lhat_diagram
@@ -178,6 +178,26 @@ def test_inversions_schubert_equivalent_sweep():
                 assert two_bridge_equiv(pp, qq, p, q)
 
 
+def _first_inversion(pres):
+    return inversions_from_fraction(*pres.knot_fraction.positive_numerator()).inv1
+
+
+def test_every_inversion_up_to_p_201_is_the_first_of_its_fraction():
+    """README "Every presentation is its knot's first inversion" on the
+    table, each inv2 included: `analyze --i1` relies on it."""
+    presentations = tables.inversions(201)
+    for pres in presentations:
+        assert _first_inversion(pres) == pres, pres
+    assert len(presentations) == 6161
+
+
+@settings(max_examples=50, deadline=None)
+@given(tables.presentations(40, 2000, 10**6))
+def test_every_presentation_is_the_first_inversion_of_its_fraction(pres):
+    """The same past the table, beyond the crossing budget of `analyze`."""
+    assert _first_inversion(pres) == pres
+
+
 def test_conway_continuant_examples():
     # (A, B, C, D, L) in w = z^2: the knot's matrix [[A, zB], [zC, D]] and
     # nabla(L-hat) = zL
@@ -200,20 +220,12 @@ def _product(entries, sign, z):
     return product
 
 
-pair_data = st.integers(1, 6).flatmap(lambda n: st.tuples(
-    st.lists(st.integers(-6, 6).filter(bool).map(lambda h: 2 * h),
-             min_size=n, max_size=n),
-    st.lists(st.integers(-6, 6).filter(bool), min_size=n, max_size=n),
-))
-
-
-@given(pair_data)
-def test_continuant_matrix_is_the_product_of_its_steps(data):
+@given(tables.presentations(6, 12, 6))
+def test_continuant_matrix_is_the_product_of_its_steps(pres):
     """At integer z, [[A, zB], [zC, D]] of `conway_in_w` is the product
     over the knot's continued fraction, and zL the top-left entry of the
     product over the butterfly's with every sign flipped; every polynomial
     is trimmed."""
-    pres = I1Presentation(*map(tuple, data))
     out = conway_in_w(pres)
     assert all(not poly or poly[-1] for poly in out)
     A, B, C, D, L = out
@@ -243,38 +255,31 @@ def test_conway_continuant_matches_the_seifert_oracle_up_to_p_45():
     assert len(surfaces) == 304
 
 
-twist_data = st.integers(1, 6).flatmap(lambda n: st.tuples(
-    st.lists(st.sampled_from([-8, -6, -4, -2, 2, 4, 6, 8]),
-             min_size=n, max_size=n),
-    st.lists(st.integers(-20, 20).filter(bool), min_size=n, max_size=n),
-))
+twists = tables.presentations(6, 8, 20)
 
 
 @settings(max_examples=25, deadline=None)
-@given(twist_data)
-def test_conway_continuant_matches_the_seifert_oracle(data):
-    pres = I1Presentation(*map(tuple, data))
+@given(twists)
+def test_conway_continuant_matches_the_seifert_oracle(pres):
     assert _continuant_conways(pres) == _seifert_conways(tables.surfaces_of(pres))
 
 
 @settings(max_examples=25, deadline=None)
-@given(twist_data)
-def test_knot_surface_determinant_equals_the_arithmetic_routes(data):
+@given(twists)
+def test_knot_surface_determinant_equals_the_arithmetic_routes(pres):
     """det(V + V^T) of the knot's plat diagram = |p| = |nabla(2i)| beyond
     p <= 45; `analyze` itself no longer builds the knot's diagram."""
-    pres = I1Presentation(*map(tuple, data))
     det = determinant(seifert_matrix_data(build_knot_diagram(pres)))
     assert det == abs(pres.knot_fraction.p)
     assert det == _det_from_conway(conway_in_w(pres)[0], 0)
 
 
 @settings(max_examples=25, deadline=None)
-@given(twist_data)
-def test_butterfly_surface_determinant_equals_the_arithmetic_routes(data):
+@given(twists)
+def test_butterfly_surface_determinant_equals_the_arithmetic_routes(pres):
     """det(V + V^T) of the band-coherent butterfly plat = |p''| =
     |z nabla(2i)| beyond p <= 45: the geometry behind the determinant check
     of `analyze`, on presentations the table does not reach."""
-    pres = I1Presentation(*map(tuple, data))
     det = determinant(seifert_matrix_data(build_lhat_diagram(pres)))
     assert det == abs(pres.butterfly_fraction.p)
     assert det == _det_from_conway(conway_in_w(pres)[4], 1)

@@ -17,8 +17,11 @@ from equibridge.diagrams import (
 from equibridge.laurent import DomainError, InvariantViolation
 from equibridge.seifert import (
     _bareiss_det,
+    _containment,
     _fundamental_cycles,
+    _shoelace2,
     determinant,
+    seifert_circles,
     seifert_matrix_data,
 )
 
@@ -170,6 +173,38 @@ def test_seifert_invariants_do_not_depend_on_edge_order():
     assert count == 64
     assert digest.hexdigest() == (
         "985ba3a282fccf6f44d78f32d7f5859ead0dce1ca69d6e3a27e79c91dafdce23")
+
+
+def _band_nesting(pd):
+    """For both orders (i, j) of the two circles of every band of pd: is i
+    inside j by `_containment`, and by the band rule?"""
+    circles, bands = seifert_circles(pd)
+    inside = _containment(circles)
+    area = [abs(_shoelace2(circle.points)) for circle in circles]
+    for band in bands:
+        (i, _), (j, _) = band.ends
+        for a, b in ((i, j), (j, i)):
+            rule = circles[a].ccw == circles[b].ccw and area[a] < area[b]
+            yield inside[a][b], rule
+
+
+def test_band_joined_circles_nest_exactly_when_they_turn_the_same_way():
+    """Two circles joined by a band are nested exactly when they turn the
+    same way, and then the one of smaller area is inside.  The rule reads
+    two circles per band where `_containment` nest-tests every pair, so it
+    can replace it; until then it is checked on every knot and butterfly
+    diagram at p <= 45 and on seeded plats of any entries."""
+    pairs = [pair for surface in tables.surfaces(45).values()
+             for pd in (surface.knot_diagram, surface.lhat_diagram)
+             for pair in _band_nesting(pd)]
+    assert [pair for pair in pairs if pair[0] != pair[1]] == []
+    assert (len(pairs), sum(nested for nested, _ in pairs)) == (23860, 4188)
+    rng = random.Random(23)
+    for _ in range(300):
+        entries = [rng.choice([-1, 1]) * rng.randint(1, 9)
+                   for _ in range(rng.randint(1, 6))]
+        for nested, rule in _band_nesting(build_plat_diagram(entries)):
+            assert nested == rule, entries
 
 
 def _seifert_outcome(build, arg):

@@ -4,7 +4,7 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from equibridge.butterfly import butterfly_polynomial
 from equibridge.cli import random_presentation
@@ -210,19 +210,11 @@ def test_oracle_equals_formula_up_to_p_201():
     assert len(presentations) == 6161
 
 
-wide_twist_data = st.integers(1, 8).flatmap(lambda n: st.tuples(
-    st.lists(st.integers(-1000, 1000).filter(bool).map(lambda h: 2 * h),
-             min_size=n, max_size=n),
-    st.lists(st.integers(-10**6, 10**6).filter(bool), min_size=n, max_size=n),
-))
-
-
 @settings(deadline=None)
-@given(wide_twist_data)
-def test_oracle_equals_formula_on_wide_twist_regions(data):
+@given(tables.presentations(8, 2000, 10**6))
+def test_oracle_equals_formula_on_wide_twist_regions(pres):
     """Up to 8 pairs with |alpha| <= 2000 and |c| <= 10^6: both routes cost
     per twist region, not per crossing."""
-    pres = I1Presentation(*map(tuple, data))
     assert eta_oracle(pres) == butterfly_polynomial(pres)
 
 
