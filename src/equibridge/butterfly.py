@@ -7,7 +7,7 @@ from typing import NamedTuple, Optional, Union
 
 from .laurent import Frozen, InvariantViolation, TCoeffs, lp, typed_equality
 from .presentations import I1Presentation
-from .rationals import eval_cf
+from .rationals import Frac, eval_cf
 
 
 def butterfly_polynomial(pres: I1Presentation) -> TCoeffs:
@@ -108,12 +108,14 @@ def nullity_obstruction(pres: I1Presentation) -> None:
     `cli` derives: p''/q'', |p''| as the order of H1 and nullity 1.
 
     Verifies that reversing the knot's continued fraction preserves the
-    numerator and inverts the denominator to -q^(-1) mod p, and that the
-    reversed butterfly fraction has the same numerator size as the forward
-    one.  Failures signal builder bugs, not bad input.
+    numerator and inverts the denominator to -q^(-1) mod p, that -b put in
+    front of the reversal p'/q' gives (q' - b p')/p', coprime with no gcd
+    as (p', q') is, and that this reversed butterfly fraction has the same
+    numerator size as the forward one.  Failures signal builder bugs, not
+    bad input.
     """
     bf = pres.butterfly_fraction
-    if bf.is_infinite() or bf.p == 0:
+    if bf.q == 0 or bf.p == 0:
         raise InvariantViolation(f"butterfly fraction degenerate for {pres}: {bf}")
     if bf.p % 2 != 0:
         raise InvariantViolation(f"butterfly numerator must be even, got {bf}")
@@ -132,12 +134,11 @@ def nullity_obstruction(pres: I1Presentation) -> None:
             f"reversal identity q*q' = -1 (mod p) fails for {pres}"
         )
     full_rev = eval_cf([-pres.b] + rev_entries)
-    expected = rev.reciprocal().plus_int(-pres.b)
-    if full_rev != expected:
+    sign = 1 if rev.p > 0 else -1  # rev.p = +-p is not 0
+    if full_rev != Frac(sign * (rev.q - pres.b * rev.p), sign * rev.p):
         raise InvariantViolation(f"projective recursion broke for {pres}")
     if abs(full_rev.p) != abs(bf.p):
         raise InvariantViolation(
             f"reversed butterfly fraction numerator mismatch for {pres}: "
             f"{full_rev} vs {bf}"
         )
-

@@ -12,8 +12,8 @@ from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 from .laurent import DomainError, Frozen, InvariantViolation, typed_equality
-from .rationals import (MAX_CF_ENTRIES, Frac, _int_field, eval_cf, even_cf,
-                        two_bridge_equiv)
+from .rationals import (MAX_CF_ENTRIES, Frac, _even_denominator, _int_field,
+                        eval_cf, even_cf)
 
 
 class ParseError(DomainError):
@@ -123,22 +123,32 @@ def presentation_from_cf(entries: Sequence[int]) -> I1Presentation:
 
 
 def inversions_from_fraction(p: int, q: int) -> InversionPair:
-    """Build the strong-inversion presentations of K(p, q).
+    """Build the strong-inversion presentations of K(p, q), gcd(p, q) = 1.
 
     inv1 comes from the even continued fraction of p/q; inv2 from the
     reversed-and-negated expansion.  When the two coincide entry-wise the
-    knot admits a single strong inversion and inv2 is omitted.
+    knot admits a single strong inversion and inv2 is omitted.  Each is
+    checked once, in integers, on the knot fraction the analysis reuses:
+    inv1's is p/q_even exactly, and inv2's, with numerator p' > 0, has
+    p' = p and q q' = 1 (mod p), Schubert's other member of the class.
+    Reversal transposes the continuant [[p, r], [q, s]], ps - qr = 1, and
+    negating every entry negates r and q, so inv2's fraction is p/(-r).
     """
     src = Frac.make(p, q)
+    if src.q != abs(q):  # Frac.make divided out a common factor
+        raise DomainError(f"invalid 2-bridge pair ({p}, {q})")
     entries = even_cf(src)
     inv1 = presentation_from_cf(entries)
-    rev = [-e for e in reversed(entries)]
-    inv2: Optional[I1Presentation] = presentation_from_cf(rev)
-    if inv2.alphas == inv1.alphas and inv2.cs == inv1.cs:
-        inv2 = None
-    for inv in (inv1,) + ((inv2,) if inv2 else ()):
-        kf = inv.knot_fraction
-        pp, qq = kf.positive_numerator()
-        if not two_bridge_equiv(pp, qq, p, q):
-            raise InvariantViolation(f"builder produced a wrong knot: {inv} -> {kf}")
+    rev = presentation_from_cf([-e for e in reversed(entries)])
+    inv2 = None if rev == inv1 else rev
+    q_even = _even_denominator(src.p, src.q)  # non-zero, as |p| >= 3
+    kf = inv1.knot_fraction
+    if kf != (Frac(src.p, q_even) if q_even > 0 else Frac(-src.p, -q_even)):
+        raise InvariantViolation(f"builder produced a wrong knot: {inv1} -> {kf}")
+    if inv2 is not None:
+        p, q = kf.positive_numerator()
+        p2, q2 = inv2.knot_fraction.positive_numerator()
+        if p2 != p or (q * q2 - 1) % p != 0:
+            raise InvariantViolation(
+                f"builder produced a wrong knot: {inv2} -> {inv2.knot_fraction}")
     return InversionPair(inv1, inv2, src)

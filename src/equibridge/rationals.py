@@ -1,8 +1,9 @@
-"""Exact fractions with projective evaluation, even continued fractions,
-and 2-bridge modular arithmetic.
+"""Exact fractions, projective continued-fraction evaluation, all-even
+expansions and the Schubert table.
 
 Fractions live in Q united with a single point at infinity (1/0), which lets
 continued fractions with zero entries evaluate without special cases.
+`Frac.make` reduces by a gcd, for input from outside; `eval_cf` needs none.
 """
 from __future__ import annotations
 
@@ -33,22 +34,15 @@ class Frac(NamedTuple):
             p = 1
         return Frac(p, q)
 
-    def is_infinite(self) -> bool:
-        return self.q == 0
-
-    def reciprocal(self) -> "Frac":
-        return Frac.make(self.q, self.p)
-
-    def plus_int(self, n: int) -> "Frac":
-        return Frac.make(n * self.q + self.p, self.q)
-
     def positive_numerator(self) -> tuple[int, int]:
         """Return (p, q) with the pair's sign flipped so p > 0.
 
-        Requires a finite non-zero fraction.
+        Every caller passes a knot fraction, whose numerator is odd, so a
+        zero or infinite value is a builder bug.
         """
         if self.q == 0 or self.p == 0:
-            raise DomainError("sign normalization needs a finite non-zero value")
+            raise InvariantViolation(f"sign normalization of {self} needs a "
+                                     "finite non-zero value")
         return (self.p, self.q) if self.p > 0 else (-self.p, -self.q)
 
     def __str__(self) -> str:
@@ -133,7 +127,9 @@ def even_cf(f: Frac) -> tuple[int, ...]:
     normalized to q_even, the even representative with |q| < |p|
     (`_even_denominator`); each step takes the nearest even integer and
     recurses on the reciprocal remainder, up to MAX_CF_ENTRIES entries: the
-    entry past them raises a DomainError.
+    entry past them raises a DomainError.  The entries are not evaluated
+    here: `inversions_from_fraction` checks that they evaluate to p/q_even,
+    as the first inversion's knot fraction, which the analysis reuses.
     """
     p, q = f.p, f.q
     if q == 0:
@@ -152,35 +148,7 @@ def even_cf(f: Frac) -> tuple[int, ...]:
         e = _nearest_even(a, b)
         entries.append(e)
         a, b = b, a - e * b
-    if eval_cf(entries) != Frac.make(p, q0):
-        raise InvariantViolation(f"even_cf round-trip failed for {p}/{q}")
     return tuple(entries)
-
-
-def normalize_class(p: int, q: int) -> tuple[int, int]:
-    """Canonical (p, q) with p > 0 and q in [1, p-1]; mirror is tracked by
-    the residue itself (q and p - q are different classes)."""
-    if p < 0:
-        p, q = -p, -q
-    if p < 2:
-        raise DomainError("normalize_class needs |p| >= 2")
-    q %= p
-    if q == 0 or gcd(p, q) != 1:
-        raise DomainError(f"invalid 2-bridge pair ({p}, {q})")
-    return p, q
-
-
-def two_bridge_equiv(p1: int, q1: int, p2: int, q2: int) -> bool:
-    """Schubert equivalence: same p and q2 = q1 or q1^(-1) mod p."""
-    if abs(p1) == 1 or abs(p2) == 1:
-        return abs(p1) == abs(p2) == 1  # both unknots
-    a = normalize_class(p1, q1)
-    b = normalize_class(p2, q2)
-    if a[0] != b[0]:
-        return False
-    p, qa = a
-    qb = b[1]
-    return qb == qa or (qa * qb) % p == 1
 
 
 def schubert_classes(max_p: int) -> list[tuple[int, int]]:

@@ -18,6 +18,9 @@ diagram or matrix, and no test may first call one of these inside a
 monkeypatch, or the cache would keep what the patched functions returned
 for the rest of the session.
 
+`even_expansions(max_p)` lists the same knots by a second route that
+shares no code with `schubert_classes`: the tree of all-even expansions.
+
 Hypothesis tests past the table draw their presentations from one
 strategy, `presentations(max_n, max_alpha, max_c)`.
 """
@@ -74,6 +77,32 @@ def certificates(max_p: int) -> dict[I1Presentation, OrderCertificate]:
 @cache
 def surfaces(max_p: int) -> dict[I1Presentation, Surfaces]:
     return {pres: _surfaces(pres) for pres in inversions(max_p)}
+
+
+def even_expansions(max_p: int) -> frozenset[tuple[int, ...]]:
+    """Every even-length continued fraction of even entries, |e| >= 2, with
+    numerator |p| <= max_p, by a depth-first walk that extends a prefix
+    while its left-to-right continuant stays within the bound.
+
+    The prefix numerators p_k = e_k p_(k-1) + p_(k-2), from p_0 = 1 and
+    p_(-1) = 0, grow strictly in absolute value, and for a fixed prefix
+    |p_k| grows with |e_k|, so each branch stops at its first entry past
+    the bound.  No Schubert arithmetic is used."""
+    found = set()
+
+    def walk(prefix: list[int], p: int, p_prev: int) -> None:
+        if prefix and len(prefix) % 2 == 0:
+            found.add(tuple(prefix))
+        for step in (2, -2):
+            e = step
+            while abs(e * p + p_prev) <= max_p:
+                prefix.append(e)
+                walk(prefix, e * p + p_prev, p)
+                prefix.pop()
+                e += step
+
+    walk([], 1, 0)
+    return frozenset(found)
 
 
 def presentations(max_n: int, max_alpha: int, max_c: int) -> st.SearchStrategy:

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from equibridge import cli, diagrams, moth, rationals, seifert, strip
+from equibridge import (butterfly, cli, diagrams, moth, presentations,
+                        rationals, seifert, strip)
 from equibridge.butterfly import (
     axis_linking,
     butterfly_polynomial,
@@ -19,7 +20,7 @@ from equibridge.butterfly import (
 from equibridge.cli import analyze_presentation, knot_report
 from equibridge.laurent import DomainError, InvariantViolation
 from equibridge.presentations import I1Presentation, inversions_from_fraction
-from equibridge.rationals import schubert_classes
+from equibridge.rationals import Frac, schubert_classes
 
 import tables
 from notation import lp_parse, zp_parse
@@ -192,12 +193,53 @@ def test_a_given_presentation_that_is_not_inversion_1_exits_3(monkeypatch, capsy
 
 def test_fractions_evaluated_once_per_presentation(monkeypatch, capsys):
     # Per presentation: the knot and butterfly fractions plus the two
-    # reversed ones of the nullity check; per class: the even_cf round trip.
+    # reversed ones of the nullity check.  The class check reads the knot
+    # fractions that the analysis reuses, so a class adds none.
     analyzed = count_calls(monkeypatch, cli, "analyze_presentation")
     evaluated = count_calls(monkeypatch, rationals, "eval_cf")
     assert cli.main(["table", "--max-p", "15"]) == 0
     capsys.readouterr()
-    assert len(evaluated) <= 4 * len(analyzed) + len(schubert_classes(15))
+    assert len(evaluated) <= 4 * len(analyzed)
+
+
+# One wrong continuant per case, on the knot cf [2, -2] of 3/2's one
+# inversion I1(2;1) (butterfly cf [2, -2, -2], 8/5), or on the inv2 cf
+# [-2, -2] of 5/2.  `presentations.eval_cf` computes the cached knot and
+# butterfly fractions, `butterfly.eval_cf` the reversals of the nullity
+# check; each case fails one check and no earlier one.
+@pytest.mark.parametrize("module, fraction, entries, value, message", [
+    (presentations, "3/2", [2, -2], Frac(5, 2),
+     "builder produced a wrong knot: I1(2;1) -> 5/2"),
+    (presentations, "5/2", [-2, -2], Frac(-5, 3),
+     "builder produced a wrong knot: I1(-2;1) -> -5/3"),
+    (presentations, "3/2", [2, -2, -2], Frac(1, 0),
+     "butterfly fraction degenerate for I1(2;1): 1/0"),
+    (presentations, "3/2", [2, -2, -2], Frac(7, 5),
+     "butterfly numerator must be even, got 7/5"),
+    (butterfly, "3/2", [-2, 2], Frac(-5, 2),
+     "reversal changed the numerator for I1(2;1): 3 vs 5"),
+    (butterfly, "3/2", [-2, 2], Frac(1, 0),
+     "sign normalization of 1/0 needs a finite non-zero value"),
+    (butterfly, "3/2", [-2, 2], Frac(-3, 1),
+     "reversal identity q*q' = -1 (mod p) fails for I1(2;1)"),
+    (butterfly, "3/2", [-2, -2, 2], Frac(8, 3),
+     "projective recursion broke for I1(2;1)"),
+    (presentations, "3/2", [2, -2, -2], Frac(6, 5),
+     "reversed butterfly fraction numerator mismatch for I1(2;1): -8/3 vs 6/5"),
+    (presentations, "5/2", [-2, -2], Frac(0, 1),
+     "sign normalization of 0/1 needs a finite non-zero value"),
+], ids=["inv1", "inv2", "degenerate", "odd-numerator", "reversal-numerator",
+        "reversal-infinite", "reversal-congruence", "projective-recursion",
+        "reversed-numerator", "inv2-zero"])
+def test_each_arithmetic_check_exits_3(monkeypatch, capsys, module, fraction,
+                                       entries, value, message):
+    real = module.eval_cf
+    monkeypatch.setattr(module, "eval_cf",
+                        lambda cf: value if list(cf) == entries else real(cf))
+    assert cli.main(["analyze", "--fraction", fraction]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: internal check failed: {message}\n"
 
 
 def test_import_leaves_fractions_out():

@@ -5,8 +5,10 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 
+from equibridge import presentations
 from equibridge.butterfly import AxisLinkWitness, ReducedAxisLinkWitness
 from equibridge.diagrams import build_knot_diagram, build_lhat_diagram
+from equibridge.laurent import DomainError
 from equibridge.moth import _det_from_conway, _in_z, conway_in_w
 from equibridge.presentations import (
     I1Presentation,
@@ -14,7 +16,7 @@ from equibridge.presentations import (
     inversions_from_fraction,
     parse_i1,
 )
-from equibridge.rationals import Frac, two_bridge_equiv
+from equibridge.rationals import Frac
 from equibridge.seifert import determinant, seifert_matrix_data
 
 import tables
@@ -165,7 +167,24 @@ def test_inversions_seven_two():
     assert (2 * 4) % 7 == 1  # 4 is the inverse of 2 mod 7
 
 
+@pytest.mark.parametrize("p, q", [(9, 6), (-9, 6), (9, -6), (15, 25), (0, 5)])
+def test_a_pair_with_a_common_factor_is_rejected_before_its_expansion(
+        monkeypatch, p, q):
+    expanded = []
+    monkeypatch.setattr(presentations, "even_cf", expanded.append)
+    with pytest.raises(DomainError, match=rf"^invalid 2-bridge pair \({p}, {q}\)$"):
+        inversions_from_fraction(p, q)
+    assert expanded == []
+
+
+@pytest.mark.parametrize("p, q", [(1, 0), (-1, 0), (3, 0)])
+def test_infinity_is_not_expanded(p, q):
+    with pytest.raises(DomainError, match="cannot expand infinity"):
+        inversions_from_fraction(p, q)
+
+
 def test_inversions_schubert_equivalent_sweep():
+    """Each inversion is K(p, q') with q' = q^(+-1) mod p (Schubert 1956)."""
     for p in range(3, 46, 2):
         for q in range(1, p):
             if gcd(p, q) != 1:
@@ -175,7 +194,7 @@ def test_inversions_schubert_equivalent_sweep():
                 if inv is None:
                     continue
                 pp, qq = inv.knot_fraction.positive_numerator()
-                assert two_bridge_equiv(pp, qq, p, q)
+                assert pp == p and qq % p in (q, pow(q, -1, p))
 
 
 def _first_inversion(pres):

@@ -13,8 +13,9 @@ from equibridge.rationals import (
     even_cf,
     frac_parse,
     schubert_classes,
-    two_bridge_equiv,
 )
+
+import tables
 
 
 def test_eval_cf_examples():
@@ -25,10 +26,11 @@ def test_eval_cf_examples():
 
 
 def _eval_cf_stepwise(entries):
-    """The step-by-step projective evaluation a + 1/v, innermost first."""
+    """The step-by-step projective evaluation a + 1/v, innermost first,
+    each step reduced by `Frac.make`'s gcd."""
     v = Frac.make(entries[-1], 1)
     for a in reversed(entries[:-1]):
-        v = v.reciprocal().plus_int(a)
+        v = Frac.make(a * v.p + v.q, v.p)
     return v
 
 
@@ -71,16 +73,6 @@ def test_even_cf_round_trip_exhaustive():
             assert len(entries) % 2 == 0
             assert (q_even - q) % p == 0 and abs(q_even) < p
             assert eval_cf(entries) == Frac.make(p, q_even)
-
-
-def test_two_bridge_equiv_examples():
-    assert two_bridge_equiv(5, 2, 5, 3)
-    assert two_bridge_equiv(7, 2, 7, 2)
-    assert not two_bridge_equiv(5, 2, 7, 2)
-    # mirrors are tracked: the two trefoils are inequivalent
-    assert not two_bridge_equiv(3, 2, 3, 1)
-    # sign normalization: -5/2 is the 5/3 class
-    assert two_bridge_equiv(-5, -2, 5, 3)
 
 
 def test_reversal_identity_enumeration():
@@ -130,6 +122,18 @@ def test_schubert_classes_list_every_knot_once_per_even_chirality():
     assert len(listed) - len(orbits) == 238  # orbits listed twice
 
 
+def test_the_even_expansion_tree_lists_the_table_and_its_mirrors():
+    """Coverage by a route with no Schubert arithmetic: the all-even,
+    even-length expansions with |p| <= 201 are exactly the knot continued
+    fractions of the table's inversions and of their mirrors, the negated
+    expansions."""
+    tree = tables.even_expansions(201)
+    table = {tuple(pres.knot_cf()) for pres in tables.inversions(201)}
+    mirrors = {tuple(-e for e in cf) for cf in table}
+    assert tree == table | mirrors
+    assert (len(tree), len(table), len(mirrors - table)) == (8282, 6161, 2121)
+
+
 @given(st.integers(-40, 40), st.integers(-40, 40))
 def test_frac_make_normal_form(p, q):
     if p == 0 and q == 0:
@@ -146,12 +150,6 @@ def test_even_cf_length_bound():
             if gcd(p, q) != 1:
                 continue
             assert len(even_cf(Frac.make(p, q))) < p
-
-
-def test_two_bridge_equiv_unknot_edge():
-    assert two_bridge_equiv(1, 0, 1, 0)
-    assert two_bridge_equiv(1, 0, -1, 0)
-    assert not two_bridge_equiv(1, 0, 3, 2)
 
 
 def test_even_cf_stops_at_the_first_entry_past_the_limit(monkeypatch):
