@@ -50,16 +50,31 @@ def _shoelace2(points: list[Point]) -> int:
 
 
 def _point_inside(pt: Point, poly: list[Point]) -> bool:
-    """Exact even-odd test, ray cast from just north-east of a vertex."""
+    """Exact even-odd test: is pt inside the closed axis-aligned polyline?
+
+    Coordinates are scaled by 4, so the eastward ray starts at the test
+    point (x + 1/4, y + 1/2) for pt = (x, y).  Every vertex is an integer
+    point, so the ray's height y + 1/2 is no vertex's height: the ray meets
+    no vertex and runs along no edge, since a horizontal edge lies at an
+    integer height.  Only a vertical edge can cross it, once and
+    transversally, and none passes through the test point, whose abscissa
+    is not an integer.  So the parity of the crossings is exact on integer
+    polylines, with no tie to break.
+
+    The edges are read in place, carrying the previous vertex from the
+    last one, so the closing edge comes first; the count does not depend
+    on the order of the edges.
+    """
     px, py = 4 * pt[0] + 1, 4 * pt[1] + 2
     hits = 0
-    for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
-        if x1 != x2:
-            continue  # horizontal segments cannot cross the horizontal ray
-        xq = 4 * x1
-        lo, hi = sorted((4 * y1, 4 * y2))
-        if xq > px and lo < py < hi:
-            hits += 1
+    x1, y1 = poly[-1]
+    for x2, y2 in poly:
+        if x1 == x2:  # horizontal segments cannot cross the horizontal ray
+            xq = 4 * x1
+            lo, hi = sorted((4 * y1, 4 * y2))
+            if xq > px and lo < py < hi:
+                hits += 1
+        x1, y1 = x2, y2
     return hits % 2 == 1
 
 

@@ -74,13 +74,16 @@ def test_certificate_json_fields():
     assert j["det_lhat"] == 8
 
 
-def test_moth_parts_are_palindromic():
-    """Symmetry under t -> 1/t makes both stored polynomials palindromic."""
-    rng = random.Random(53)
-    for _ in range(30):
-        m = order_certificate(random_presentation(rng, max_n=3, max_alpha=6, max_c=3)).moth
-        for poly in (m.num, m.den):
-            assert poly.cs == poly.cs[::-1]
+@settings(max_examples=40, deadline=None)
+@given(tables.presentations(12, 400, 400))
+def test_moth_parts_are_palindromic(pres):
+    """Both stored polynomials are polynomials in w = -t + 2 - 1/t, which
+    t -> 1/t fixes, so both are palindromes and 2 val = deg den - deg num,
+    past the table as on it."""
+    m = order_certificate(pres).moth
+    for poly in (m.num, m.den):
+        assert poly.cs == poly.cs[::-1]
+    assert 2 * m.num.val == len(m.den.cs) - len(m.num.cs)
 
 
 def test_order_certificate_of_40_pairs_is_fast():
@@ -431,3 +434,27 @@ def test_the_continuant_matrix_has_determinant_one_for_every_presentation():
             state = _step(*state, a // 2, cc, w)
         assert state == tuple(_in_w(p, w) for p in moth.conway_in_w(pres)[:4]), pres
 
+
+def _at_w_0(p):
+    """p with w = 0: its monomials free of w."""
+    k = VARIABLES.index("w")
+    return Poly({m: c for m, c in p.items() if not m[k]})
+
+
+def test_at_w_0_the_knot_continuant_is_1_and_l_vanishes():
+    """At w = 0 a pair step keeps A and D and adds hA to B and cD to C.
+    A(0) = D(0) = 1 at the identity, so they stay 1, and each pair (2h, c)
+    adds h to B(0), so B(0) = sum of h = b/2.  Hence L(0) = (b/2)A(0) -
+    B(0) = 0, which is `certified_moth`'s "no z term" check (the linking
+    number), and den(1) = A(0) = 1, since w = 0 at t = 1."""
+    h, c, w, A, B, C, D = map(Poly.of, VARIABLES)
+    one = Poly.of(1)
+    after = tuple(map(_at_w_0, _step(A, B, C, D, h, c, w)))
+    assert after == (A, B + h * A, C + c * D, D)
+    # With A(0) = D(0) = 1, a step keeps them and adds h to B(0).
+    assert _step(one, B, C, one, h, c, Poly.of(0)) == (one, B + h, C + c, one)
+    # The identity has B(0) = 0, so B(0) = sum of h = b/2 and L(0) = 0.
+    for pres in map(parse_i1, ("2;1", "4,-2;3,1", "-6,2,8;-1,2,-3")):
+        A, B, _, _, L = moth.conway_in_w(pres)
+        assert (A[0], B[0], L[0]) == (1, pres.b // 2, 0), pres
+        assert sum(moth._w_to_t(A)) == A[0]

@@ -175,11 +175,10 @@ def test_seifert_invariants_do_not_depend_on_edge_order():
         "985ba3a282fccf6f44d78f32d7f5859ead0dce1ca69d6e3a27e79c91dafdce23")
 
 
-def _band_nesting(pd):
-    """For both orders (i, j) of the two circles of every band of pd: is i
-    inside j by `_containment`, and by the band rule?"""
-    circles, bands = seifert_circles(pd)
-    inside = _containment(circles)
+def _band_nesting(circles, bands, inside):
+    """For both orders (i, j) of the two circles of every band: is i inside
+    j by the nesting matrix `inside` of `_containment`, and by the band
+    rule?"""
     area = [abs(_shoelace2(circle.points)) for circle in circles]
     for band in bands:
         (i, _), (j, _) = band.ends
@@ -193,17 +192,28 @@ def test_band_joined_circles_nest_exactly_when_they_turn_the_same_way():
     same way, and then the one of smaller area is inside.  The rule reads
     two circles per band where `_containment` nest-tests every pair, so it
     can replace it; until then it is checked on every knot and butterfly
-    diagram at p <= 45 and on seeded plats of any entries."""
-    pairs = [pair for surface in tables.surfaces(45).values()
-             for pd in (surface.knot_diagram, surface.lhat_diagram)
-             for pair in _band_nesting(pd)]
+    diagram at p <= 45 and on seeded plats of any entries.  The nesting
+    matrices of those p <= 45 diagrams, every pair and not only the
+    band-joined ones, hash to a recorded value, so a faster `_containment`
+    must keep the whole relation."""
+    digest = hashlib.sha256()
+    pairs = []
+    for surface in tables.surfaces(45).values():
+        for pd in (surface.knot_diagram, surface.lhat_diagram):
+            circles, bands = seifert_circles(pd)
+            inside = _containment(circles)
+            digest.update(repr(inside).encode() + b"\n")
+            pairs += _band_nesting(circles, bands, inside)
+    assert digest.hexdigest() == (
+        "d6e5e1145eb915a8d3cc51095d07cf9576e856f86ac632ae244dbaa702b02143")
     assert [pair for pair in pairs if pair[0] != pair[1]] == []
     assert (len(pairs), sum(nested for nested, _ in pairs)) == (23860, 4188)
     rng = random.Random(23)
     for _ in range(300):
         entries = [rng.choice([-1, 1]) * rng.randint(1, 9)
                    for _ in range(rng.randint(1, 6))]
-        for nested, rule in _band_nesting(build_plat_diagram(entries)):
+        circles, bands = seifert_circles(build_plat_diagram(entries))
+        for nested, rule in _band_nesting(circles, bands, _containment(circles)):
             assert nested == rule, entries
 
 
