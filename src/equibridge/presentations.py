@@ -24,9 +24,8 @@ class I1Presentation(Frozen):
     """Twist parameters plus the derived quantities used by every invariant.
 
     sigma[i] is half the partial sum of the alphas (an integer), b is the
-    full sum, delta[i] is c_i mod 2, and eps[i] is the suffix product of
-    (-1)**delta[j] for j >= i.  Two presentations are equal when their
-    alphas and cs are.
+    full sum, and eps[i] is the suffix product of (-1)**c_j for j >= i.
+    Two presentations are equal when their alphas and cs are.
     """
 
     _fields = ("alphas", "cs")
@@ -45,11 +44,9 @@ class I1Presentation(Frozen):
             if c == 0:
                 raise ParseError(f"c[{i + 1}] must be non-zero")
         sigma = tuple(s // 2 for s in accumulate(alphas))
-        delta = tuple(c % 2 for c in cs)
-        # (-1) to the suffix sums of delta, taken from the right
-        eps = tuple(1 - 2 * (s % 2) for s in accumulate(reversed(delta)))[::-1]
-        vars(self).update(alphas=alphas, cs=cs, sigma=sigma, b=sum(alphas),
-                          delta=delta, eps=eps)
+        # (-1) to the suffix sums of the cs, taken from the right
+        eps = tuple(1 - 2 * (s % 2) for s in accumulate(reversed(cs)))[::-1]
+        vars(self).update(alphas=alphas, cs=cs, sigma=sigma, b=sum(alphas), eps=eps)
 
     @property
     def n(self) -> int:

@@ -24,22 +24,10 @@ are settled exactly on the diagrams' integer polylines.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from .laurent import DomainError, InvariantViolation, typed_equality
+from .laurent import DomainError, InvariantViolation
 from .diagrams import SW, OrientedPD, Point
-
-@typed_equality
-class SeifertData(NamedTuple):
-    circle_count: int
-    crossing_count: int
-    matrix: list[list[int]]  # square, size crossing_count - circle_count + 1
-    mu: int  # number of link components
-
-    @property
-    def rank(self) -> int:
-        return len(self.matrix)
-
 
 def _shoelace2(points: list[Point]) -> int:
     """Twice the signed area of a closed polyline."""
@@ -229,15 +217,13 @@ def _in_ccw_arc(key: tuple, start: tuple, end: tuple) -> bool:
     return key > start or key < end
 
 
-def seifert_matrix_data(pd: OrientedPD) -> SeifertData:
-    """Seifert circles and the integer linking matrix of the surface basis."""
+def seifert_matrix_data(pd: OrientedPD) -> list[list[int]]:
+    """The Seifert matrix V: the integer linking matrix of the surface's
+    cycle basis, square of size g = crossings - circles + 1."""
     circles, bands = seifert_circles(pd)
     cycles = _fundamental_cycles(circles, bands)
-    mu = pd.component_count()
     x = len(bands)
     s = len(circles)
-    if x == 0:
-        return SeifertData(s, 0, [], mu)
     g = len(cycles)
     if g != x - s + 1:
         raise InvariantViolation(f"basis rank {g} != {x} - {s} + 1")
@@ -315,40 +301,47 @@ def seifert_matrix_data(pd: OrientedPD) -> SeifertData:
                     twice[xi][yi] += arr
                     twice[yi][xi] += arr
 
-    matrix = [[0] * g for _ in range(g)]
-    for i in range(g):
-        for j in range(g):
-            if twice[i][j] % 2 != 0:
-                raise InvariantViolation("half-integer linking entry")
-            matrix[i][j] = twice[i][j] // 2
-    return SeifertData(s, x, matrix, mu)
+    for row in twice:
+        if any(t % 2 for t in row):
+            raise InvariantViolation("half-integer linking entry")
+        row[:] = [t // 2 for t in row]
+    return twice
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free exact determinant of an integer matrix."""
+    """Bareiss's fraction-free exact determinant of an integer matrix, run
+    inside its band: with w the largest |i - j| of a non-zero entry, step k
+    pivots in rows k..k+w and updates them over columns k+1..k+2w.  The
+    dense loop's scaling of each row below by p_k / p_(k-1) telescopes to
+    one factor p_(k-1) as row k + w enters at step k, so every entry
+    computed is the dense loop's minor (README, design notes)."""
     n = len(m)
     if n == 0:
         return 1
+    w = max((abs(i - j) for i, row in enumerate(m) for j, x in enumerate(row) if x),
+            default=0)
     a = [row[:] for row in m]
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
+        last, reach = min(k + w, n - 1), min(k + 2 * w, n - 1)
+        if k and k + w < n:  # row k + w enters the window
+            a[k + w][k:reach + 1] = [x * prev for x in a[k + w][k:reach + 1]]
         if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            swap = next((i for i in range(k + 1, last + 1) if a[i][k] != 0), None)
             if swap is None:
                 return 0
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
+        for i in range(k + 1, last + 1):
+            for j in range(k + 1, reach + 1):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
 
 
-def determinant(data: SeifertData) -> int:
-    """|H1| of the double branched cover: |det(V + V^T)|."""
-    v = data.matrix
-    g = data.rank
+def determinant(v: list[list[int]]) -> int:
+    """|H1| of the double branched cover: |det(V + V^T)| of Seifert matrix V."""
+    g = len(v)
     sym = [[v[i][j] + v[j][i] for j in range(g)] for i in range(g)]
     return abs(_bareiss_det(sym))

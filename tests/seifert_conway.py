@@ -1,16 +1,16 @@
 """Conway polynomial of a link, read off its Seifert matrix.
 
 An independent oracle for the continuants of `moth.conway_in_w`: it
-shares nothing with the continued fraction but the diagram builder and
-`seifert.seifert_matrix_data`.  Only tests use it, so it lives beside them
-and not in the package.
+shares nothing with the continued fraction but the diagram builder,
+`seifert.seifert_matrix_data` and the package's determinant.  Only tests
+use it, so it lives beside them and not in the package.
 """
 from __future__ import annotations
 
 from math import comb
 
 from equibridge.laurent import InvariantViolation, ZCoeffs
-from equibridge.seifert import SeifertData, _bareiss_det
+from equibridge.seifert import _bareiss_det
 
 
 def interp_poly(points: list[tuple[int, int]]) -> list[int]:
@@ -40,18 +40,18 @@ def interp_poly(points: list[tuple[int, int]]) -> list[int]:
     return out
 
 
-def conway_polynomial(data: SeifertData) -> ZCoeffs:
-    """The normalized skein polynomial det(1/x V - x V^T) with z = x - 1/x.
+def conway_polynomial(v: list[list[int]], mu: int) -> ZCoeffs:
+    """The normalized skein polynomial det(1/x V - x V^T) with z = x - 1/x
+    of a link of `mu` components with Seifert matrix `v`.
 
     The global sign of the odd (2-component) case follows the skein
     normalization nabla(L+) - nabla(L-) = z nabla(L0); the transposed form
     of the determinant is the one that agrees with it for this push-off
     convention.
     """
-    v = data.matrix
-    g = data.rank
+    g = len(v)
     if g == 0:
-        return (1,) if data.mu == 1 else ()
+        return (1,) if mu == 1 else ()
     # P(w) = det(V - w V^T) has degree <= g; evaluate and interpolate.
     pts = []
     w = 0
@@ -76,12 +76,12 @@ def conway_polynomial(data: SeifertData) -> ZCoeffs:
     while acc and acc[-1] == 0:
         acc.pop()
     nabla = tuple(acc)
-    if data.mu == 1:
+    if mu == 1:
         if any(nabla[1::2]):
             raise InvariantViolation("knot Conway polynomial has odd terms")
         if nabla[:1] != (1,):
             raise InvariantViolation("knot Conway polynomial not normalized")
-    elif data.mu == 2:
+    elif mu == 2:
         if any(nabla[0::2]):
             raise InvariantViolation("2-link Conway polynomial has even terms")
     return nabla

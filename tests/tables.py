@@ -8,7 +8,11 @@ table itself:
 - `inversions(max_p)` lists those inversions in the same order;
 - `certificates(max_p)` maps each of them to its `order_certificate`;
 - `surfaces(max_p)` maps each of them to its knot and butterfly plat
-  diagrams and their `SeifertData`.
+  diagrams and their Seifert matrices.  A matrix is all that
+  `seifert_matrix_data` returns: a test reads the circle count off
+  `seifert_circles(pd)`, the crossings off `pd.over_a` and the components
+  off `pd.component_count()`, or knows them (a knot has one component,
+  a butterfly link two).
 
 Each is built once, by `functools.cache`, from the package's functions
 unpatched, and each presentation's certificate and surfaces are computed
@@ -35,21 +39,21 @@ from equibridge.diagrams import OrientedPD, build_knot_diagram, build_lhat_diagr
 from equibridge.moth import OrderCertificate, order_certificate
 from equibridge.presentations import I1Presentation, inversions_from_fraction
 from equibridge.rationals import schubert_classes
-from equibridge.seifert import SeifertData, seifert_matrix_data
+from equibridge.seifert import seifert_matrix_data
 
 
 class Surfaces(NamedTuple):
     """The plat diagrams of a presentation's knot and butterfly link, and
-    the Seifert data of each."""
+    the Seifert matrix of each."""
 
     knot_diagram: OrientedPD
     lhat_diagram: OrientedPD
-    knot: SeifertData
-    lhat: SeifertData
+    knot: list[list[int]]
+    lhat: list[list[int]]
 
 
 def surfaces_of(pres: I1Presentation) -> Surfaces:
-    """The knot's and the butterfly link's diagrams and Seifert data."""
+    """The knot's and the butterfly link's diagrams and Seifert matrices."""
     knot, lhat = build_knot_diagram(pres), build_lhat_diagram(pres)
     return Surfaces(knot, lhat, seifert_matrix_data(knot), seifert_matrix_data(lhat))
 

@@ -210,8 +210,8 @@ def _moth_inputs(pres):
 
 def test_continuant_moth_inputs_match_the_diagram_engine():
     pres = I1Presentation((2, -4), (1, 2))
-    lhat = conway_polynomial(seifert_matrix_data(build_lhat_diagram(pres)))
-    knot = conway_polynomial(seifert_matrix_data(build_knot_diagram(pres)))
+    lhat = conway_polynomial(seifert_matrix_data(build_lhat_diagram(pres)), 2)
+    knot = conway_polynomial(seifert_matrix_data(build_knot_diagram(pres)), 1)
     num, den = _moth_inputs(pres)
     assert lhat[0] == 0 and z_to_t(lhat[1:]) == num
     assert z_to_t(knot) == den

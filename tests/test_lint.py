@@ -30,7 +30,8 @@ Exit codes are decided in one place, `cli.main`: no other function of `cli`
 writes an `error:` line or returns 2; the commands raise instead.  `verify`
 returns its own result, 1 or 3.
 
-A record keeps only what something reads: every `__slots__` name is read
+A record keeps only what something reads: every `__slots__` name, and
+every attribute a `Frozen` record stores with `vars(self).update`, is read
 as an attribute somewhere in the package outside its class's `__init__`.
 
 Each verdict rests on two routes that share no code: the functions that
@@ -248,9 +249,25 @@ def test_imported_modules_resolves_each_form():
         "from .laurent import lp\nimport butterfly", "equibridge")
 
 
+def stored_names(cls: ast.ClassDef) -> list[str]:
+    """The `__slots__` names of `cls` and the keywords of its
+    `vars(self).update(...)` calls, the attributes a `Frozen` record stores."""
+    slots = [name.value for stmt in cls.body if isinstance(stmt, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                     for t in stmt.targets)
+             for name in ast.walk(stmt.value) if isinstance(name, ast.Constant)]
+    updates = [kw.arg for node in ast.walk(cls) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute) and node.func.attr == "update"
+               and isinstance(node.func.value, ast.Call)
+               and isinstance(node.func.value.func, ast.Name)
+               and node.func.value.func.id == "vars"
+               for kw in node.keywords]
+    return slots + updates
+
+
 def unread_slots(sources: dict[str, str]) -> list[str]:
-    """`module.Class.name` for each `__slots__` name of a class in
-    `sources`, module name to source, that no attribute read outside the
+    """`module.Class.name` for each stored name (`stored_names`) of a class
+    in `sources`, module name to source, that no attribute read outside the
     class's `__init__` names."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     reads = [node for tree in trees.values() for node in ast.walk(tree)
@@ -258,15 +275,12 @@ def unread_slots(sources: dict[str, str]) -> list[str]:
     found = []
     for module, tree in trees.items():
         for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
-            slots = [name.value for stmt in cls.body if isinstance(stmt, ast.Assign)
-                     and any(isinstance(t, ast.Name) and t.id == "__slots__"
-                             for t in stmt.targets)
-                     for name in ast.walk(stmt.value) if isinstance(name, ast.Constant)]
             in_init = {id(node) for stmt in cls.body
                        if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"
                        for node in ast.walk(stmt)}
             read = {node.attr for node in reads if id(node) not in in_init}
-            found += [f"{module}.{cls.name}.{name}" for name in slots if name not in read]
+            found += [f"{module}.{cls.name}.{name}" for name in stored_names(cls)
+                      if name not in read]
     return found
 
 
@@ -284,6 +298,14 @@ def test_unread_slots_sees_only_reads_outside_init():
     assert unread_slots({"m": record}) == ["m.R.x", "m.R.y"]
     assert unread_slots({"m": record + "def f(r):\n    r.y = r.x\n"}) == ["m.R.y"]
     assert unread_slots({"m": record, "n": "def g(r):\n    return r.x + r.y\n"}) == []
+
+
+def test_unread_slots_sees_frozen_record_attributes():
+    record = ("class F(Frozen):\n    _fields = ('x',)\n"
+              "    def __init__(self, x):\n        y = x % 2\n"
+              "        vars(self).update(x=x, y=y)\n        print(self.y)\n")
+    assert unread_slots({"m": record}) == ["m.F.x", "m.F.y"]
+    assert unread_slots({"m": record, "n": "def g(f):\n    return f.x\n"}) == ["m.F.y"]
 
 
 def _code(node: ast.AST):

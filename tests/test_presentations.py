@@ -28,7 +28,7 @@ def test_parse_and_derived_fields():
     p = parse_i1("2;1")
     assert p.alphas == (2,) and p.cs == (1,)
     assert p.sigma == (1,) and p.b == 2
-    assert p.delta == (1,) and p.eps == (-1,)
+    assert p.eps == (-1,)
 
     p = parse_i1("2,4;1,1")
     assert p.sigma == (1, 3) and p.b == 6
@@ -91,13 +91,15 @@ def test_records_have_value_semantics():
 
 
 def test_delta_of_negative_c():
-    assert parse_i1("2;-1").delta == (1,)
-    assert parse_i1("2;-2").delta == (0,)
+    """delta_i = c_i mod 2 enters eps alone: a negative odd c is odd."""
+    assert parse_i1("2;-1").eps == (-1,)
+    assert parse_i1("2;-2").eps == (1,)
+    assert parse_i1("2,2;-3,1").eps == (1, -1)
 
 
 def test_eps_is_suffix_product():
     p = parse_i1("2,2,2;1,2,1")
-    # delta = (1, 0, 1): eps_i = product of (-1)^delta_j for j >= i
+    # eps_i = product of (-1)^c_j for j >= i
     assert p.eps == (1, -1, -1)
 
 
@@ -264,7 +266,7 @@ def _continuant_conways(pres):
 def _seifert_conways(surface):
     """The oracle: Conway polynomials of the knot and the butterfly link
     read off the Seifert matrices of their plat diagrams."""
-    return conway_polynomial(surface.knot), conway_polynomial(surface.lhat)
+    return conway_polynomial(surface.knot, 1), conway_polynomial(surface.lhat, 2)
 
 
 def test_conway_continuant_matches_the_seifert_oracle_up_to_p_45():
@@ -302,3 +304,14 @@ def test_butterfly_surface_determinant_equals_the_arithmetic_routes(pres):
     det = determinant(seifert_matrix_data(build_lhat_diagram(pres)))
     assert det == abs(pres.butterfly_fraction.p)
     assert det == _det_from_conway(conway_in_w(pres)[4], 1)
+
+
+@pytest.mark.parametrize("p", [201, 401])
+def test_butterfly_surface_determinant_of_the_longest_expansions(p):
+    """p/(p - 1) has the longest even expansion of any class at its p, and
+    its butterfly Seifert matrix has p rows: det(V + V^T) = |p''| on each
+    inversion, far past the p <= 45 table the other surface tests read."""
+    for pres in filter(None, inversions_from_fraction(p, p - 1)[:2]):
+        v = seifert_matrix_data(build_lhat_diagram(pres))
+        assert len(v) == p
+        assert determinant(v) == abs(pres.butterfly_fraction.p)
